@@ -55,7 +55,6 @@ from .moebius import (
     standard_gate,
     to_rotation,
     transform_constellation,
-    transform_polynomial,
 )
 from .render import RenderSpec, render_constellation_svg, render_state_svg
 from .sphere import (

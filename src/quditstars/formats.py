@@ -17,7 +17,7 @@ import numpy as np
 
 from .majorana import Constellation, QuditState
 from .moebius import MoebiusMap, RotationMatrix, UnitaryMatrix, make
-from .sphere import INFINITY, ExtendedComplex, SpherePoint
+from .sphere import INFINITY, ExtendedComplex
 
 __all__ = [
     "format_real",
@@ -200,9 +200,3 @@ def sphere_points_to_csv(points) -> str:
 
 def sphere_points_to_doc(points) -> dict:
     return {"points": [[float(v) for v in p.as_tuple()] for p in points]}
-
-
-def sphere_point_from_triple(values) -> SpherePoint:
-    if not isinstance(values, (list, tuple)) or len(values) != 3:
-        raise ValueError(f"sphere point must be an [x, y, z] triple, got {values!r}")
-    return SpherePoint(*(float(v) for v in values))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, WrongDimension, ZeroPolynomial
 from .sphere import INFINITY, ExtendedComplex, SpherePoint, as_point, chordal_distance
@@ -388,6 +387,9 @@ def constellation_pairing(c1: Constellation, c2: Constellation):
     distance.  Optimal assignment, not greedy: near multiple roots a greedy
     pairing can cross the cluster and overstate the distance.
     """
+    # Deferred: scipy.optimize takes longer to import than a CLI call needs.
+    from scipy.optimize import linear_sum_assignment
+
     if c1.dim != c2.dim:
         raise DimensionMismatch(f"dims {c1.dim} and {c2.dim} differ")
     cost = np.array([[chordal_distance(a, b) for b in c2.roots] for a in c1.roots])

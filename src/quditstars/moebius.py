@@ -4,7 +4,9 @@ A nonsingular 2x2 complex matrix acts on C u {inf} by
 z -> (a z + b)/(c z + d).  The special-unitary subfamily, built with
 ``from_su2``, acts as rigid rotations of the sphere and lifts to an exact
 d x d unitary on the amplitudes of a d-level state, for any d: the same
-two complex parameters drive every dimension.
+two complex parameters drive every dimension.  The lift exponentiates the
+spin-(d-1)/2 generator of the map by exact diagonalisation; the rotation is
+the closed-form adjoint action of the 2x2 matrix on the Pauli matrices.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import NotUnitary, SingularMatrix, UnknownGate, ZeroInput
-from .majorana import Constellation, MajoranaPolynomial, _sqrt_binomial_weights
-from .sphere import INFINITY, ExtendedComplex, SpherePoint, as_point, to_sphere
+from .majorana import Constellation
+from .sphere import INFINITY, ExtendedComplex, SpherePoint, as_point
 
 __all__ = [
     "MoebiusMap",
@@ -33,7 +34,6 @@ __all__ = [
     "projective_distance",
     "projectively_equal",
     "transform_constellation",
-    "transform_polynomial",
     "lift_to_unitary",
     "to_rotation",
     "standard_gate",
@@ -165,42 +165,6 @@ def transform_constellation(m: MoebiusMap, constellation: Constellation) -> Cons
                          tuple(apply_point(m, r) for r in constellation.roots))
 
 
-def _coefficient_matrix(m: MoebiusMap, dim: int) -> np.ndarray:
-    """Matrix of the coefficient-space linear map induced by m (degree dim-1).
-
-    Column mu holds the coefficients of (a'z + b')^mu (c'z + d')^(dim-1-mu)
-    where (a', b', c', d') is the INVERSE map: substituting the inverse into
-    the polynomial is what transports each root alpha forward to m(alpha).
-    """
-    inv = inverse(m)
-    n = dim - 1
-    lin_num = np.array([inv.b, inv.a], dtype=complex)   # a'z + b', low to high
-    lin_den = np.array([inv.d, inv.c], dtype=complex)   # c'z + d'
-    num_pows = [np.array([1.0 + 0j])]
-    den_pows = [np.array([1.0 + 0j])]
-    for _ in range(n):
-        num_pows.append(npoly.polymul(num_pows[-1], lin_num))
-        den_pows.append(npoly.polymul(den_pows[-1], lin_den))
-    k = np.zeros((dim, dim), dtype=complex)
-    for mu in range(dim):
-        term = npoly.polymul(num_pows[mu], den_pows[n - mu])
-        k[: len(term), mu] = term
-    return k
-
-
-def transform_polynomial(m: MoebiusMap, poly: MajoranaPolynomial) -> MajoranaPolynomial:
-    """The polynomial whose root multiset is the image of poly's roots under m.
-
-    Computed as the homogeneous substitution
-    p'(z) = (c'z + d')^n * p((a'z + b')/(c'z + d')) with the entries of the
-    inverse map, expanded exactly by binomial convolution.  Linear in the
-    coefficients, defined for any nonsingular m, and handles roots at
-    infinity on both sides through the degree bookkeeping.
-    """
-    k = _coefficient_matrix(m, poly.dim)
-    return MajoranaPolynomial(tuple(k @ poly.as_vector()))
-
-
 @dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
     """A d x d unitary; construction verifies U+U = I to 1e-9 in Frobenius."""
@@ -258,9 +222,11 @@ def _phase_canonical(mat: np.ndarray) -> np.ndarray:
 def lift_to_unitary(m: MoebiusMap, dim: int) -> UnitaryMatrix:
     """The d x d unitary acting on amplitudes the way m acts on the roots.
 
-    Conjugates the coefficient-space action of ``transform_polynomial`` with
-    the sign-and-binomial weight diagonal of the state <-> polynomial
-    encoding, then normalizes the uniform scale and global phase.  Only
+    Writes m = exp(-i h) with h the traceless Hermitian 2x2 generator, builds
+    its spin-(d-1)/2 representation H (tridiagonal on the Dicke ladder
+    elements sqrt((j+1)(n-j))) and exponentiates it through ``eigh``, so the
+    result is unitary to rounding at every d.  The global phase is fixed with
+    the first significant entry of column 0 real positive.  Only
     special-unitary maps lift; anything else raises NotUnitary (use
     ``transform_constellation`` for general maps).  For dim 2 the result is
     m's own determinant-1 matrix up to global phase.
@@ -270,39 +236,37 @@ def lift_to_unitary(m: MoebiusMap, dim: int) -> UnitaryMatrix:
     if not is_special_unitary(m):
         raise NotUnitary("only special-unitary maps lift to a unitary; "
                          "use transform_constellation for general maps")
+    a, b = m.a, m.b
+    if a.real < 0:
+        # -m lifts to (-1)^n times m's lift; the phase fix removes the sign.
+        a, b = -a, -b
+    # m = cos(phi) - i sin(phi) (u . sigma) with phi in [0, pi/2]: h = phi u . sigma.
+    phi = math.atan2(math.sqrt(a.imag ** 2 + abs(b) ** 2), a.real)
+    k = 1.0 / np.sinc(phi / math.pi)
     n = dim - 1
-    weights = _sqrt_binomial_weights(n) * np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    k = _coefficient_matrix(m, dim)
-    lifted = (k * weights[None, :]) / weights[:, None]
-    scale = np.trace(lifted.conj().T @ lifted).real / dim
-    return UnitaryMatrix(_phase_canonical(lifted / math.sqrt(scale)))
+    j = np.arange(n)
+    upper = 1j * k * b * np.sqrt((j + 1.0) * (n - j))
+    gen = (np.diag((n - 2.0 * np.arange(dim)) * (-k * a.imag))
+           + np.diag(upper, 1) + np.diag(upper.conjugate(), -1))
+    lam, w = np.linalg.eigh(gen)
+    return UnitaryMatrix(_phase_canonical((w * np.exp(-1j * lam)) @ w.conj().T))
+
+
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def to_rotation(m: MoebiusMap) -> RotationMatrix:
     """The 3x3 rotation R with to_sphere(m(z)) = R to_sphere(z) for all z.
 
-    Columns are the images of the three points that project to the
-    coordinate axes (1 -> x, -i -> y, inf -> z), snapped to the nearest
-    orthogonal matrix and then spot-checked on 20 fixed pseudo-random
-    points at 1e-10.
+    to_sphere(z) is the Bloch vector of the spinor (z, 1), so R is the
+    adjoint action of U = m's SU(2) matrix: R_ij = Re Tr(s_i U s_j U+) / 2
+    over the Pauli matrices s_i.
     """
     if not is_special_unitary(m):
         raise NotUnitary("only special-unitary maps act as rotations")
-    axis_preimages = (1.0, -1j, INFINITY)
-    cols = [to_sphere(apply_point(m, z)).as_tuple() for z in axis_preimages]
-    raw = np.array(cols, dtype=float).T
-    u, _, vt = np.linalg.svd(raw)
-    rot = u @ vt
-    if np.linalg.det(rot) < 0:
-        rot = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    rng = np.random.default_rng(20230517)
-    samples = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    for z in samples:
-        lhs = rot @ np.array(to_sphere(z).as_tuple())
-        rhs = np.array(to_sphere(apply_point(m, z)).as_tuple())
-        if np.linalg.norm(lhs - rhs) > _ROTATION_TOL:
-            raise NotUnitary("map does not act as a rigid rotation within 1e-10")
-    return RotationMatrix(rot)
+    u = from_su2(m.a, m.b).matrix
+    conj = u @ _PAULI @ u.conj().T
+    return RotationMatrix(0.5 * np.einsum("iab,jba->ij", _PAULI, conj).real)
 
 
 def standard_gate(name: str, *params: float) -> MoebiusMap:

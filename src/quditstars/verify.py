@@ -7,8 +7,8 @@ order.  Random states are normalized complex Gaussians; random SU(2) maps
 come from a normalized complex Gaussian pair.
 
 ``tolerance`` in the configuration is the chordal bound for the
-cross-method comparisons (root finder vs oracle, polynomial vs
-constellation transport, lift-vs-Moebius equivariance), default 1e-8.
+cross-method comparisons (root finder vs oracle, lift-vs-Moebius
+equivariance), default 1e-8.
 Algebraic identities keep their own tighter, fixed bounds.
 """
 
@@ -51,7 +51,6 @@ from .moebius import (
     standard_gate,
     to_rotation,
     transform_constellation,
-    transform_polynomial,
 )
 from .sphere import (
     INFINITY,
@@ -341,23 +340,6 @@ def _prop_group_laws(rng, dim, match_tol):
     return dev, 1e-12, {"map": moebius_to_doc(m1), "second": moebius_to_doc(m2)}
 
 
-def _prop_transform_coherence(rng, dim, match_tol):
-    m = random_su2(rng) if rng.uniform() < 0.5 else _random_moebius(rng)
-    # At most ONE leading zero here: k roots at infinity become a k-fold
-    # finite root after transport, and recovering a multiple root is
-    # conditioned like eps^(1/k), which no root finder beats at 1e-8.
-    # The multi-zero and doubled-root stress lives in the oracle property,
-    # where infinities stay infinite on both sides.
-    coeffs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    if rng.uniform() < 0.3:
-        coeffs[-1] = 0.0
-    poly = MajoranaPolynomial(tuple(coeffs))
-    _, worst = constellation_pairing(find_roots(transform_polynomial(m, poly)),
-                                     transform_constellation(m, find_roots(poly)))
-    return worst, match_tol, {"map": moebius_to_doc(m),
-                              "state": state_to_doc(polynomial_to_state(poly))}
-
-
 def _prop_central_equivariance(rng, dim, match_tol):
     m = random_su2(rng)
     psi = random_state(rng, dim)
@@ -449,7 +431,6 @@ _PROPERTIES: tuple[_Property, ...] = (
     _Property("orthogonal_antipodality", _prop_orthogonal_antipodality, fixed_dim=2),
     _Property("basis_state_constellations", _prop_basis_constellations),
     _Property("moebius_group_laws", _prop_group_laws),
-    _Property("transform_coherence", _prop_transform_coherence),
     _Property("central_equivariance", _prop_central_equivariance),
     _Property("lift_homomorphism", _prop_lift_homomorphism),
     _Property("qubit_lift_faithfulness", _prop_qubit_lift_faithful, fixed_dim=2),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,6 +81,22 @@ def test_lift_program_file(tmp_path):
     assert main(["lift", "--program-file", str(prog), "--dim", "2", "--out", str(out)]) == 0
     u = formats.unitary_from_doc(formats.load_doc(out))
     np.testing.assert_allclose(u.matrix, np.eye(2), atol=1e-10)
+
+
+def test_lift_dim101(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["lift", "--program", "h", "--dim", "101", "--out", str(out)]) == 0
+    assert formats.unitary_from_doc(formats.load_doc(out)).dim == 101
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = "import sys, quditstars; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_rotation_output(tmp_path):

@@ -6,14 +6,14 @@ import pytest
 
 from quditstars.errors import NotUnitary, SingularMatrix, UnknownGate, ZeroInput
 from quditstars.majorana import (
-    MajoranaPolynomial,
+    Constellation,
     QuditState,
     basis_state,
     constellation_match,
     constellation_pairing,
-    find_roots,
+    constellation_to_state,
+    projective_fidelity,
     state_to_constellation,
-    state_to_polynomial,
 )
 from quditstars.moebius import (
     MoebiusMap,
@@ -31,7 +31,6 @@ from quditstars.moebius import (
     standard_gate,
     to_rotation,
     transform_constellation,
-    transform_polynomial,
 )
 from quditstars.sphere import INFINITY, ExtendedComplex, to_sphere
 from quditstars.verify import random_state, random_su2
@@ -42,8 +41,6 @@ HADAMARD_MAP = make(1, 1, 1, -1)    # z -> (z+1)/(z-1)
 
 
 def const(dim, *roots):
-    from quditstars.majorana import Constellation
-
     return Constellation(dim, tuple(
         INFINITY if r == "inf" else ExtendedComplex(complex(r)) for r in roots))
 
@@ -149,53 +146,6 @@ class TestTransformConstellation:
         assert constellation_match(c, const(3, 1j, -1j), 1e-12)
 
 
-class TestTransformPolynomial:
-    def test_reciprocal_reverses_qutrit_coefficients(self):
-        p = MajoranaPolynomial((0.2, 0.5 - 1j, -0.7))
-        q = transform_polynomial(RECIP, p).as_vector()
-        expected = np.array([-0.7, 0.5 - 1j, 0.2])
-        scale = q[0] / expected[0]
-        np.testing.assert_allclose(q, expected * scale, atol=1e-14)
-
-    def test_reciprocal_reverses_amplitudes(self):
-        from quditstars.majorana import polynomial_to_state
-
-        psi = QuditState((0.1, 0.2 - 0.3j, 0.9j))
-        out = polynomial_to_state(
-            transform_polynomial(RECIP, state_to_polynomial(psi))).as_vector()
-        expected = np.array([0.9j, 0.2 - 0.3j, 0.1])
-        scale = out[0] / expected[0]
-        np.testing.assert_allclose(out, expected * scale, atol=1e-14)
-
-    def test_identity_up_to_scale(self):
-        p = MajoranaPolynomial((1, 2, 3, 4))
-        q = transform_polynomial(IDENT, p).as_vector()
-        scale = q[0] / 1.0
-        np.testing.assert_allclose(q, p.as_vector() * scale, atol=1e-14)
-
-    def test_involution_up_to_scale(self):
-        m = from_su2(0, 1j)
-        p = MajoranaPolynomial((1 - 1j, 0, 2, 0.5j))
-        q = transform_polynomial(m, transform_polynomial(m, p)).as_vector()
-        scale = q[0] / p.coefficients[0]
-        np.testing.assert_allclose(q, p.as_vector() * scale, atol=1e-13)
-
-    @pytest.mark.parametrize("unitary", [True, False])
-    def test_coherence_with_point_transport(self, unitary):
-        rng = np.random.default_rng(11 if unitary else 13)
-        for dim in range(2, 9):
-            m = (random_su2(rng) if unitary
-                 else make(*(rng.standard_normal(4) + 1j * rng.standard_normal(4))))
-            coeffs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            if dim > 2 and rng.uniform() < 0.4:
-                coeffs[-1] = 0.0
-            p = MajoranaPolynomial(tuple(coeffs))
-            lhs = find_roots(transform_polynomial(m, p))
-            rhs = transform_constellation(m, find_roots(p))
-            _, worst = constellation_pairing(lhs, rhs)
-            assert worst <= 1e-8
-
-
 class TestLift:
     def test_identity_dim5(self):
         u = lift_to_unitary(IDENT, 5)
@@ -250,6 +200,37 @@ class TestLift:
             rhs = transform_constellation(m, state_to_constellation(psi))
             _, worst = constellation_pairing(lhs, rhs)
             assert worst <= 1e-8
+
+
+class TestLiftLargeDim:
+    """The lift stays exact where coefficient expansion used to cancel (d >= 48).
+
+    Equivariance is checked on planted constellations, so no root finder is
+    involved: psi is built from known roots and U psi must be the state of the
+    moved roots.
+    """
+
+    @pytest.mark.parametrize("dim", [48, 65, 101, 301])
+    def test_unitary_and_equivariant(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            m = random_su2(rng)
+            u = lift_to_unitary(m, dim).matrix
+            assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-12
+            roots = rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1)
+            stars = Constellation(dim, tuple(ExtendedComplex(r) for r in roots))
+            psi = constellation_to_state(stars)
+            moved = QuditState(tuple(u @ psi.as_vector()))
+            expected = constellation_to_state(transform_constellation(m, stars))
+            assert 1.0 - projective_fidelity(moved, expected) <= 1e-10
+
+    def test_homomorphism_dim101(self):
+        rng = np.random.default_rng(101)
+        for _ in range(3):
+            m1, m2 = random_su2(rng), random_su2(rng)
+            left = lift_to_unitary(compose(m1, m2), 101).matrix
+            right = lift_to_unitary(m1, 101).matrix @ lift_to_unitary(m2, 101).matrix
+            assert phase_aligned_distance(left, right) <= 1e-9
 
 
 class TestRotation:
