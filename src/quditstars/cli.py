@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="state file -> constellation file")
     p.add_argument("--state", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("reconstruct", help="constellation file -> canonical state file")
     p.add_argument("--constellation", required=True)
@@ -100,7 +99,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _cmd_roots(args) -> int:
     state = formats.state_from_doc(formats.load_doc(args.state))
-    constellation = find_roots(state_to_polynomial(state), tol=args.tol)
+    constellation = find_roots(state_to_polynomial(state))
     formats.save_doc(args.out, formats.constellation_to_doc(constellation))
     return 0
 

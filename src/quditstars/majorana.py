@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DimensionMismatch, WrongDimension, ZeroPolynomial
 from .sphere import INFINITY, ExtendedComplex, SpherePoint, as_point, chordal_distance
@@ -36,20 +35,11 @@ __all__ = [
     "bloch_vector",
     "constellation_match",
     "constellation_pairing",
-    "DEFAULT_ROOT_TOL",
 ]
 
-DEFAULT_ROOT_TOL = 1e-12
-
-# Leading coefficients at or below this fraction of the largest coefficient
+# Leading amplitudes at or below this fraction of the largest amplitude
 # modulus are treated as exactly zero (roots at infinity) before root finding.
 _LEADING_ZERO_REL = 1e-13
-
-# Aberth initial guesses: equispaced angles shifted by the golden angle, an
-# irrational offset that keeps the start away from root symmetries.
-_GOLDEN_ANGLE = 2.399963229728653
-
-_ABERTH_MAX_ITER = 200
 
 
 def _validated_amplitudes(values, what: str) -> tuple[complex, ...]:
@@ -184,68 +174,6 @@ def polynomial_to_state(poly: MajoranaPolynomial) -> QuditState:
     return QuditState(tuple(amps))
 
 
-def _newton_ratio(coeffs, dcoeffs, rcoeffs, drcoeffs, deg, z):
-    """p(z)/p'(z) elementwise, overflow-free at any radius.
-
-    For |z| > 1 the evaluation runs through the reversed polynomial:
-    p(z) = z^deg q(1/z) gives p/p' = z q(u) / (deg q(u) - u q'(u)), u = 1/z,
-    so nothing ever raises a modulus above the coefficient scale.
-    """
-    ratio = np.empty_like(z)
-    small = np.abs(z) <= 1.0
-    if small.any():
-        zs = z[small]
-        ratio[small] = npoly.polyval(zs, coeffs) / npoly.polyval(zs, dcoeffs)
-    large = ~small
-    if large.any():
-        zl = z[large]
-        u = 1.0 / zl
-        q = npoly.polyval(u, rcoeffs)
-        dq = npoly.polyval(u, drcoeffs)
-        ratio[large] = zl * q / (deg * q - u * dq)
-    return ratio
-
-
-def _aberth_roots(coeffs: np.ndarray, tol: float) -> np.ndarray | None:
-    """All roots of a polynomial by Aberth-Ehrlich simultaneous iteration.
-
-    ``coeffs`` is low-to-high with nonzero leading AND trailing entries.
-    Deterministic: fixed starting circle, no randomness.  Returns None when
-    the iteration fails to converge within the cap (the caller falls back to
-    the companion-matrix method).
-    """
-    m = len(coeffs) - 1
-    if m == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
-    radius = math.sqrt(1.0 + np.max(np.abs(coeffs[:-1]) / abs(coeffs[-1])))
-    angles = 2.0 * np.pi * np.arange(m) / m + _GOLDEN_ANGLE
-    z = radius * np.exp(1j * angles)
-    dcoeffs = npoly.polyder(coeffs)
-    rcoeffs = coeffs[::-1].copy()
-    drcoeffs = npoly.polyder(rcoeffs)
-    for _ in range(_ABERTH_MAX_ITER):
-        with np.errstate(all="ignore"):
-            ratio = _newton_ratio(coeffs, dcoeffs, rcoeffs, drcoeffs, m, z)
-            stuck = ~np.isfinite(ratio)
-            if stuck.any():
-                # Critical-point hit: deterministic sidestep, then retry.
-                z = np.where(stuck, z * (1.0 + 1e-8) + 1e-8, z)
-                continue
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            if np.any(diff == 0):
-                return None
-            s = (1.0 / diff).sum(axis=1)
-            denom = 1.0 - ratio * s
-            w = np.where(denom == 0, ratio, ratio / denom)
-            z = z - w
-        if not np.all(np.isfinite(z)):
-            return None
-        if np.all(np.abs(w) <= tol * (1.0 + np.abs(z))):
-            return z
-    return None
-
-
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """Finite roots via eigenvalues of the companion matrix (LAPACK path)."""
     m = len(coeffs) - 1
@@ -261,10 +189,13 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
 def _effective_degree(coeffs: np.ndarray) -> int:
     """Index of the highest coefficient that counts as nonzero.
 
-    Leading coefficients within 1e-13 (relative to the largest modulus) of
-    zero are degeneracies encoding roots at infinity, not tiny numbers.
+    The cut is made in amplitude units, |c_mu| / sqrt(C(n, mu)) = |a_mu|:
+    leading amplitudes within 1e-13 (relative to the largest) of zero are
+    degeneracies encoding roots at infinity, not tiny numbers.  Raw
+    coefficients would not do, since at large d the middle weights exceed
+    the end ones by ~2^(n/2) and real leading amplitudes would read as zero.
     """
-    mags = np.abs(coeffs)
+    mags = np.abs(coeffs) / _sqrt_binomial_weights(len(coeffs) - 1)
     top = mags.max()
     if top == 0.0:
         raise ZeroPolynomial("all coefficients are zero")
@@ -278,43 +209,36 @@ def _effective_degree(coeffs: np.ndarray) -> int:
 
 
 def _sort_key(root: ExtendedComplex):
+    """South pole to north pole: by modulus, then (re, im); infinity last."""
     if root.is_infinite:
-        return (1, 0.0, 0.0)
-    return (0, root.value.real, root.value.imag)
+        return (math.inf, 0.0, 0.0)
+    z = root.value
+    return (abs(z), z.real, z.imag)
 
 
-def _finite_roots(coeffs: np.ndarray, tol: float) -> list[complex]:
+def _finite_roots(coeffs: np.ndarray) -> list[complex]:
     """Roots of the degree-reduced polynomial (leading zeros already cut)."""
-    # Exact trailing zeros are roots at the origin; deflating them is exact
-    # and spares the iteration from high-multiplicity clusters at 0.
+    # Exact trailing zeros are roots at the origin; deflating them is exact.
     k0 = 0
     while k0 < len(coeffs) - 1 and coeffs[k0] == 0:
         k0 += 1
-    reduced = coeffs[k0:]
-    roots = [0j] * k0
-    if len(reduced) > 1:
-        found = _aberth_roots(reduced, tol)
-        if found is None:
-            found = _companion_roots(reduced)
-        roots.extend(found)
-    return roots
+    return [0j] * k0 + list(_companion_roots(coeffs[k0:]))
 
 
-def find_roots(poly: MajoranaPolynomial, tol: float = DEFAULT_ROOT_TOL) -> Constellation:
+def find_roots(poly: MajoranaPolynomial) -> Constellation:
     """The d - 1 roots of the polynomial, including roots at infinity.
 
-    (d - 1) - deg(p) roots sit at infinity, one per vanishing leading
-    coefficient; the finite roots come from Aberth-Ehrlich simultaneous
-    iteration (companion-matrix fallback on non-convergence).  Output order
-    is deterministic (finite roots by (re, im), infinities last) but the
-    meaning is a multiset.
+    (d - 1) - deg(p) roots sit at infinity, one per leading amplitude that
+    reads as zero, and exact trailing zeros give exact roots at 0.  The
+    other finite roots are the eigenvalues of the companion matrix (LAPACK's
+    balanced QR iteration, normwise backward stable).  Output order is
+    deterministic, south pole to north pole: finite roots by (|z|, re, im),
+    infinities last; the meaning is a multiset.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     coeffs = poly.as_vector()
     deg = _effective_degree(coeffs)
     n_infinite = (poly.dim - 1) - deg
-    finite = _finite_roots(coeffs[: deg + 1], tol) if deg > 0 else []
+    finite = _finite_roots(coeffs[: deg + 1]) if deg > 0 else []
     roots = [ExtendedComplex(r) for r in finite] + [INFINITY] * n_infinite
     roots.sort(key=_sort_key)
     return Constellation(poly.dim, tuple(roots))
@@ -322,21 +246,27 @@ def find_roots(poly: MajoranaPolynomial, tol: float = DEFAULT_ROOT_TOL) -> Const
 
 def expand_roots(constellation: Constellation, scale: complex) -> MajoranaPolynomial:
     """scale * prod over finite roots (z - alpha), padded with zero leading
-    coefficients so roots at infinity are re-encoded as degree deficits."""
+    coefficients so roots at infinity are re-encoded as degree deficits.
+
+    The factors are multiplied in ``_sort_key`` order (smallest modulus
+    first) whatever the input order: at large d some orders, such as by
+    real part, lose the expansion to rounding, and this one keeps it
+    accurate.
+    """
     scale = complex(scale)
     if scale == 0:
         raise ValueError("scale must be nonzero")
     coeffs = np.array([scale], dtype=complex)
-    for root in constellation.roots:
+    for root in sorted(constellation.roots, key=_sort_key):
         if not root.is_infinite:
-            coeffs = npoly.polymul(coeffs, np.array([-root.value, 1.0], dtype=complex))
+            coeffs = np.convolve(coeffs, np.array([-root.value, 1.0], dtype=complex))
     padded = np.zeros(constellation.dim, dtype=complex)
     padded[: len(coeffs)] = coeffs
     return MajoranaPolynomial(tuple(padded))
 
 
-def state_to_constellation(state: QuditState, tol: float = DEFAULT_ROOT_TOL) -> Constellation:
-    return find_roots(state_to_polynomial(state), tol)
+def state_to_constellation(state: QuditState) -> Constellation:
+    return find_roots(state_to_polynomial(state))
 
 
 def _canonical(amps: np.ndarray) -> np.ndarray:

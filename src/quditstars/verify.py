@@ -1,10 +1,14 @@
-"""Independent root oracle and the randomized property suite.
+"""Root cross-checks and the randomized property suite.
 
 The suite re-checks every invariant the library promises, over random
 instances drawn from streams seeded by (seed, property index, trial index):
 identical configurations give identical reports, independent of execution
 order.  Random states are normalized complex Gaussians; random SU(2) maps
 come from a normalized complex Gaussian pair.
+
+Roots are checked independently of the method that finds them by their
+backward error: the state rebuilt from the found roots must be the state
+the polynomial encodes.  ``oracle_roots`` is a secondary check only.
 
 ``tolerance`` in the configuration is the chordal bound for the
 cross-method comparisons (root finder vs oracle, lift-vs-Moebius
@@ -127,14 +131,15 @@ class SuiteReport:
             for p in self.properties]}
 
 
-# -- independent oracle ----------------------------------------------------
+# -- root cross-checks -----------------------------------------------------
 
 def oracle_roots(poly: MajoranaPolynomial) -> Constellation:
     """Roots via companion-matrix eigenvalues (LAPACK QR iteration).
 
-    Shares only the roots-at-infinity bookkeeping with ``find_roots``; the
-    numerical method is disjoint from the Aberth iteration, which is the
-    point: agreement between the two is evidence, not tautology.
+    A secondary check only: ``find_roots`` runs the same eigenvalue method
+    and differs only in deflating exact trailing zeros, so agreement with
+    it shows little.  The independent check is the ``root_backward_error``
+    property.
     """
     coeffs = poly.as_vector()
     deg = _effective_degree(coeffs)
@@ -384,6 +389,17 @@ def _prop_oracle_agreement(rng, dim, match_tol):
     return worst, limit, {"state": state_to_doc(polynomial_to_state(poly))}
 
 
+def _prop_root_backward_error(rng, dim, match_tol):
+    # The unit state the polynomial encodes against the state rebuilt from
+    # its found roots, after optimal global phase: no second root finder.
+    poly, _ = _random_polynomial(rng, dim, match_tol)
+    state = polynomial_to_state(poly)
+    want = state.normalized().as_vector()
+    got = constellation_to_state(find_roots(poly)).as_vector()
+    dev = phase_aligned_distance(got[:, None], want[:, None])
+    return dev, 1e-10, {"state": state_to_doc(state)}
+
+
 def _prop_script_round_trip(rng, dim, match_tol):
     program = _random_program(rng)
     dev = 0.0 if parse(render(program)) == program else 1.0
@@ -437,6 +453,7 @@ _PROPERTIES: tuple[_Property, ...] = (
     _Property("rotation_double_cover", _prop_rotation_double_cover),
     _Property("not_gate_involution", _prop_not_involution),
     _Property("root_finder_vs_oracle", _prop_oracle_agreement),
+    _Property("root_backward_error", _prop_root_backward_error),
     _Property("script_render_round_trip", _prop_script_round_trip),
     _Property("script_compose_law", _prop_script_compose_law),
     _Property("script_error_positions", _prop_script_error_positions),

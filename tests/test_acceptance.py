@@ -23,6 +23,7 @@ from quditstars.majorana import (
     constellation_to_state,
     expand_roots,
     find_roots,
+    polynomial_to_state,
     projective_fidelity,
     state_to_constellation,
 )
@@ -129,10 +130,20 @@ def test_criterion_05_round_trip_and_scale():
            f"fidelity gap {worst_fid:.2e}, scale dev {worst_scale:.2e}")
 
 
+def unit_phase_distance(got: np.ndarray, want: np.ndarray) -> float:
+    """Distance between the two normalised vectors after optimal global phase."""
+    got = got / np.linalg.norm(got)
+    want = want / np.linalg.norm(want)
+    s = np.vdot(got, want)
+    phase = s / abs(s) if abs(s) else 1.0
+    return float(np.linalg.norm(got * phase - want))
+
+
 def test_criterion_06_root_finder_vs_oracle():
     rng = np.random.default_rng(1006)
     worst_plain = 0.0
     worst_doubled = 0.0
+    worst_backward = 0.0
     n_doubled = 0
     for trial in range(500):
         dim = int(rng.integers(2, 14))  # degree <= 12
@@ -151,15 +162,22 @@ def test_criterion_06_root_finder_vs_oracle():
                 coeffs[-int(rng.integers(1, min(3, dim - 1) + 1)):] = 0.0
             poly = MajoranaPolynomial(tuple(coeffs))
             doubled = False
-        _, dev = constellation_pairing(find_roots(poly), oracle_roots(poly))
+        found = find_roots(poly)
+        _, dev = constellation_pairing(found, oracle_roots(poly))
         if doubled:
             n_doubled += 1
             worst_doubled = max(worst_doubled, dev)
         else:
             worst_plain = max(worst_plain, dev)
-    ok = worst_plain <= 1e-8 and worst_doubled <= 1e-6 and n_doubled >= 100
-    report(6, "500 polynomials (leading zeros, doubled roots): Aberth matches oracle",
-           ok, f"plain {worst_plain:.2e}, doubled {worst_doubled:.2e} over {n_doubled}")
+        # Backward error, independent of any second root finder.
+        worst_backward = max(worst_backward, unit_phase_distance(
+            constellation_to_state(found).as_vector(), polynomial_to_state(poly).as_vector()))
+    ok = (worst_plain <= 1e-8 and worst_doubled <= 1e-6 and n_doubled >= 100
+          and worst_backward <= 1e-12)
+    report(6, "500 polynomials (leading zeros, doubled roots): roots match oracle "
+              "and rebuild the state", ok,
+           f"plain {worst_plain:.2e}, doubled {worst_doubled:.2e} over {n_doubled}, "
+           f"backward {worst_backward:.2e}")
 
 
 def test_criterion_07_geometry():

@@ -26,9 +26,9 @@ def test_roots_of_qutrit_level_one(tmp_path):
     assert {"re": 0.0, "im": 0.0} in doc["roots"] or {"re": 0, "im": 0} in doc["roots"]
 
 
-def test_roots_then_reconstruct_round_trip(tmp_path):
-    rng = np.random.default_rng(55)
-    amps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+def roots_then_reconstruct_fidelity(tmp_path, dim, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     state = write_state(tmp_path / "s.json", amps / np.linalg.norm(amps))
     croots = tmp_path / "c.json"
     back = tmp_path / "back.json"
@@ -36,7 +36,15 @@ def test_roots_then_reconstruct_round_trip(tmp_path):
     assert main(["reconstruct", "--constellation", str(croots), "--out", str(back)]) == 0
     original = formats.state_from_doc(formats.load_doc(state))
     rebuilt = formats.state_from_doc(formats.load_doc(back))
-    assert projective_fidelity(original, rebuilt) >= 1 - 1e-10
+    return projective_fidelity(original, rebuilt)
+
+
+def test_roots_then_reconstruct_round_trip(tmp_path):
+    assert roots_then_reconstruct_fidelity(tmp_path, 5, 55) >= 1 - 1e-10
+
+
+def test_roots_then_reconstruct_dim101(tmp_path):
+    assert roots_then_reconstruct_fidelity(tmp_path, 101, 101) >= 1 - 1e-10
 
 
 def test_transform_not_gate(tmp_path):

@@ -20,8 +20,9 @@ from quditstars.majorana import (
     state_to_constellation,
     state_to_polynomial,
 )
+from quditstars.moebius import lift_to_unitary, transform_constellation
 from quditstars.sphere import INFINITY, ExtendedComplex, chordal_distance, to_sphere
-from quditstars.verify import oracle_roots, random_state
+from quditstars.verify import oracle_roots, random_state, random_su2
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -112,10 +113,6 @@ class TestFindRoots:
         c = find_roots(MajoranaPolynomial((1.0, 1.0, 1e-20)))
         assert sum(r.is_infinite for r in c.roots) == 1
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            find_roots(MajoranaPolynomial((1, 1)), tol=0.0)
-
     def test_deterministic_order(self):
         p = MajoranaPolynomial((2, 0, -3, 1, 0))
         assert find_roots(p).roots == find_roots(p).roots
@@ -190,6 +187,95 @@ class TestStateConstellation:
         zeros = sum(1 for r in roots if not r.is_infinite and r.finite == 0)
         infs = sum(1 for r in roots if r.is_infinite)
         assert zeros == level and infs == dim - 1 - level
+
+
+def dicke_state(roots, dim):
+    """Unit amplitudes of the state with the given roots ("inf" for infinity).
+
+    The normalised symmetric product of the roots' spinors (u, v), z = u/v:
+    adding one to m others maps a_mu to v sqrt(mu/(m+1)) a_{mu-1}
+    + u sqrt((m+1-mu)/(m+1)) a_mu, which is p(z) times (v z - u) up to sign.
+    Every step is bounded, so no root finder or polynomial expansion is
+    involved and it is stable at any dimension.
+    """
+    amps = np.zeros(dim, dtype=complex)
+    amps[0] = 1.0
+    for m, z in enumerate(roots):
+        if z == "inf":
+            u, v = 1.0, 0.0
+        else:
+            u, v = (z, 1.0) if abs(z) <= 1.0 else (1.0, 1.0 / z)
+        k = m + 1
+        w = np.sqrt(np.arange(k + 1) / k)
+        head = amps[:k].copy()
+        amps[:k] = u * w[k:0:-1] * head
+        amps[k] = 0.0
+        amps[1:k + 1] += v * w[1:] * head
+        amps /= np.linalg.norm(amps)
+    return amps
+
+
+def phase_distance(got, want) -> float:
+    """Distance between two unit vectors after optimal global phase."""
+    got, want = np.asarray(got), np.asarray(want)
+    s = np.vdot(got, want)
+    return float(np.linalg.norm(got * (s / abs(s)) - want))
+
+
+def uniform_roots(rng, count):
+    """Stereographic images of points drawn uniformly on the sphere."""
+    x, y, z = rng.standard_normal((3, count))
+    r = np.sqrt(x * x + y * y + z * z)
+    return list((x + 1j * y) / (r - z))
+
+
+class TestLargeDim:
+    """Round trips, planted constellations and transport up to d = 301."""
+
+    def test_random_state_has_no_root_at_infinity(self):
+        psi = random_state(np.random.default_rng(7), 101)
+        assert not any(r.is_infinite for r in state_to_constellation(psi).roots)
+
+    @pytest.mark.parametrize("dim", [101, 201, 301])
+    def test_random_round_trip(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(2):
+            psi = random_state(rng, dim)
+            back = constellation_to_state(state_to_constellation(psi))
+            assert 1.0 - projective_fidelity(psi, back) <= 1e-10
+            assert phase_distance(back.as_vector(), psi.as_vector()) <= 1e-9
+
+    @pytest.mark.parametrize("dim", [101, 301])
+    def test_planted_constellation(self, dim):
+        # Uniform roots plus a doubled pair, a root at 0 and 1-3 at infinity.
+        # The count of infinities found is not checked: a real top amplitude
+        # may fall below the leading-zero cut.  The backward error is.
+        rng = np.random.default_rng(dim + 1)
+        for n_inf in (1, 3):
+            alpha = complex(*rng.standard_normal(2))
+            roots = [alpha, alpha, 0j] + ["inf"] * n_inf
+            roots += uniform_roots(rng, dim - 1 - len(roots))
+            psi = dicke_state(roots, dim)
+            back = constellation_to_state(state_to_constellation(QuditState(tuple(psi))))
+            assert phase_distance(back.as_vector(), psi) <= 1e-9
+
+    def test_any_root_order_rebuilds_planted_state(self):
+        # Ordered by real part, the factors' partial products grow until
+        # rounding swamps the expansion; a shuffle alone would not show it.
+        rng = np.random.default_rng(201)
+        roots = uniform_roots(rng, 200)
+        want = dicke_state(roots, 201)
+        for order in ([roots[k] for k in rng.permutation(200)],
+                      sorted(roots, key=lambda z: (z.real, z.imag))):
+            back = constellation_to_state(const(201, *order))
+            assert phase_distance(back.as_vector(), want) <= 1e-9
+
+    def test_transport_matches_lift(self):
+        rng = np.random.default_rng(301)
+        m, psi = random_su2(rng), random_state(rng, 301)
+        moved = constellation_to_state(transform_constellation(m, state_to_constellation(psi)))
+        lifted = lift_to_unitary(m, 301).apply(psi.as_vector())
+        assert phase_distance(moved.as_vector(), lifted / np.linalg.norm(lifted)) <= 1e-9
 
 
 class TestFidelity:

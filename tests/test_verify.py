@@ -113,6 +113,12 @@ class TestSuite:
         assert (dumps_canonical(run_suite(cfg1).to_doc())
                 != dumps_canonical(run_suite(cfg2).to_doc()))
 
+    def test_large_dims_all_pass(self):
+        report = run_suite(SuiteConfig(dims=(33, 101), trials=4, seed=3))
+        assert "root_backward_error" in [p.name for p in report.properties]
+        failing = [p.name for p in report.properties if p.failures]
+        assert not failing, f"failing properties: {failing}"
+
     def test_small_run_all_passes(self):
         report = run_suite(SuiteConfig(dims=(2, 3, 4), trials=10, seed=11))
         failing = [p.name for p in report.properties if p.failures]
