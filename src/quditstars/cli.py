@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="dimension range 'A..B', a comma list, or one integer")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", required=True)
 
     return parser
@@ -154,8 +153,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = SuiteConfig(dims=_parse_dims(args.dims), trials=args.trials,
-                         seed=args.seed, tolerance=args.tol)
+    config = SuiteConfig(dims=_parse_dims(args.dims), trials=args.trials, seed=args.seed)
     report = run_suite(config)
     formats.save_doc(args.out, report.to_doc())
     for prop in report.properties:

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ArityError, GateSyntaxError, NonUnitaryGate
-from .moebius import MoebiusMap, compose, from_su2, is_special_unitary, make, standard_gate
+from .moebius import _ALIASES, _GATES, MoebiusMap, compose, is_special_unitary, standard_gate
 
 __all__ = [
     "GateTerm",
@@ -33,10 +33,6 @@ __all__ = [
     "compile_program",
     "compile_source",
 ]
-
-_ARITY = {"not": 0, "hadamard": 0, "rotx": 1, "roty": 1, "rotz": 1, "su2": 4, "raw": 8}
-_ALIASES = {"h": "hadamard", "rx": "rotx", "ry": "roty", "rz": "rotz"}
-
 
 @dataclass(frozen=True)
 class GateTerm:
@@ -49,11 +45,12 @@ class GateTerm:
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in _ARITY:
+        if self.kind not in _GATES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         args = tuple(float(a) for a in self.args)
-        if len(args) != _ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} args, got {len(args)}")
+        arity = _GATES[self.kind][0]
+        if len(args) != arity:
+            raise ValueError(f"{self.kind} takes {arity} args, got {len(args)}")
         object.__setattr__(self, "args", args)
 
 
@@ -152,9 +149,9 @@ class _Parser:
             self.fail("expected a gate name")
         self.advance()
         kind = _ALIASES.get(tok.text.lower(), tok.text.lower())
-        if kind not in _ARITY:
+        if kind not in _GATES:
             self.fail(f"unknown gate {tok.text!r}", tok)
-        arity = _ARITY[kind]
+        arity = _GATES[kind][0]
         if arity == 0:
             return GateTerm(kind, (), pos=(tok.line, tok.col))
         self.expect("(", "'('")
@@ -216,19 +213,6 @@ def render(program: GateProgram) -> str:
     return "; ".join(_render_term(t) for t in program.terms)
 
 
-def term_to_map(term: GateTerm) -> MoebiusMap:
-    if term.kind == "su2":
-        return from_su2(complex(term.args[0], term.args[1]),
-                        complex(term.args[2], term.args[3]))
-    if term.kind == "raw":
-        a = complex(term.args[0], term.args[1])
-        b = complex(term.args[2], term.args[3])
-        c = complex(term.args[4], term.args[5])
-        d = complex(term.args[6], term.args[7])
-        return make(a, b, c, d)
-    return standard_gate(term.kind, *term.args)
-
-
 def compile_program(program: GateProgram, allow_nonunitary: bool = False) -> MoebiusMap:
     """Fold a program into one map, first term acting first.
 
@@ -237,7 +221,7 @@ def compile_program(program: GateProgram, allow_nonunitary: bool = False) -> Moe
     """
     result: MoebiusMap | None = None
     for i, term in enumerate(program.terms):
-        m = term_to_map(term)
+        m = standard_gate(term.kind, *term.args)
         if not allow_nonunitary and not is_special_unitary(m):
             raise NonUnitaryGate(
                 f"term {i + 1} ({_render_term(term)}) is not special-unitary; "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, WrongDimension, ZeroPolynomial
-from .sphere import INFINITY, ExtendedComplex, SpherePoint, as_point, chordal_distance
+from .sphere import INFINITY, ExtendedComplex, SpherePoint, as_point, chordal_distance, to_sphere
 
 __all__ = [
     "QuditState",
@@ -130,8 +130,6 @@ class Constellation:
         object.__setattr__(self, "roots", roots)
 
     def sphere_points(self) -> tuple[SpherePoint, ...]:
-        from .sphere import to_sphere
-
         return tuple(to_sphere(r) for r in self.roots)
 
 
@@ -144,34 +142,31 @@ def basis_state(dim: int, level: int) -> QuditState:
     return QuditState(tuple(amps))
 
 
-def _sqrt_binomial_weights(n: int) -> np.ndarray:
-    """sqrt(C(n, mu)) for mu = 0..n, by incremental products of ratios.
+def _signed_weights(n: int) -> np.ndarray:
+    """(-1)^mu sqrt(C(n, mu)) for mu = 0..n, by incremental products of ratios.
 
-    Never forms factorials, so there is no overflow for large n.
+    Never forms factorials, so there is no overflow for large n.  The
+    encodings multiply by a weight's sign and modulus as two exact factors:
+    one complex product with the signed weight would give zero amplitudes
+    other signs of zero ("-0" for "0" in state and constellation files).
     """
     w = np.empty(n + 1)
     w[0] = 1.0
     for mu in range(n):
-        w[mu + 1] = w[mu] * math.sqrt((n - mu) / (mu + 1))
+        w[mu + 1] = -w[mu] * math.sqrt((n - mu) / (mu + 1))
     return w
 
 
 def state_to_polynomial(state: QuditState) -> MajoranaPolynomial:
     """c_mu = a_mu * (-1)^mu * sqrt(C(n, mu)), n = dim - 1."""
-    n = state.dim - 1
-    w = _sqrt_binomial_weights(n)
-    signs = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-    coeffs = state.as_vector() * signs * w
-    return MajoranaPolynomial(tuple(coeffs))
+    w = _signed_weights(state.dim - 1)
+    return MajoranaPolynomial(tuple(state.as_vector() * np.sign(w) * np.abs(w)))
 
 
 def polynomial_to_state(poly: MajoranaPolynomial) -> QuditState:
     """Exact inverse of ``state_to_polynomial`` (no normalization applied)."""
-    n = poly.dim - 1
-    w = _sqrt_binomial_weights(n)
-    signs = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-    amps = poly.as_vector() * signs / w
-    return QuditState(tuple(amps))
+    w = _signed_weights(poly.dim - 1)
+    return QuditState(tuple(poly.as_vector() * np.sign(w) / np.abs(w)))
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -195,7 +190,7 @@ def _effective_degree(coeffs: np.ndarray) -> int:
     coefficients would not do, since at large d the middle weights exceed
     the end ones by ~2^(n/2) and real leading amplitudes would read as zero.
     """
-    mags = np.abs(coeffs) / _sqrt_binomial_weights(len(coeffs) - 1)
+    mags = np.abs(coeffs) / np.abs(_signed_weights(len(coeffs) - 1))
     top = mags.max()
     if top == 0.0:
         raise ZeroPolynomial("all coefficients are zero")
@@ -269,19 +264,21 @@ def state_to_constellation(state: QuditState) -> Constellation:
     return find_roots(state_to_polynomial(state))
 
 
-def _canonical(amps: np.ndarray) -> np.ndarray:
-    """Unit norm with the first significant amplitude made real positive."""
-    amps = amps / np.linalg.norm(amps)
-    significant = np.flatnonzero(np.abs(amps) > 1e-12 * np.abs(amps).max())
-    lead = amps[significant[0]]
-    return amps * (lead.conjugate() / abs(lead))
+def _unit_phase(v: np.ndarray) -> complex:
+    """The unit factor that makes v's first entry above 1e-12 times its
+    largest modulus real positive: the global-phase convention of
+    ``constellation_to_state`` and, on column 0, of ``lift_to_unitary``."""
+    significant = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
+    lead = v[significant[0]]
+    return lead.conjugate() / abs(lead)
 
 
 def constellation_to_state(constellation: Constellation) -> QuditState:
     """Reconstruct the canonical (unit-norm, phase-fixed) state of a
     constellation; inverse of ``state_to_constellation`` up to overall scale."""
-    raw = polynomial_to_state(expand_roots(constellation, 1.0))
-    return QuditState(tuple(_canonical(raw.as_vector())))
+    amps = polynomial_to_state(expand_roots(constellation, 1.0)).as_vector()
+    amps = amps / np.linalg.norm(amps)
+    return QuditState(tuple(amps * _unit_phase(amps)))
 
 
 def projective_fidelity(psi: QuditState, chi: QuditState) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitary, SingularMatrix, UnknownGate, ZeroInput
-from .majorana import Constellation
+from .majorana import Constellation, _unit_phase
 from .sphere import INFINITY, ExtendedComplex, SpherePoint, as_point
 
 __all__ = [
@@ -211,14 +211,6 @@ class RotationMatrix:
         return SpherePoint(*(self.matrix @ np.array(point.as_tuple())))
 
 
-def _phase_canonical(mat: np.ndarray) -> np.ndarray:
-    """Fix the global phase: first significant entry of column 0 real positive."""
-    col = mat[:, 0]
-    significant = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-    lead = col[significant[0]]
-    return mat * (lead.conjugate() / abs(lead))
-
-
 def lift_to_unitary(m: MoebiusMap, dim: int) -> UnitaryMatrix:
     """The d x d unitary acting on amplitudes the way m acts on the roots.
 
@@ -249,7 +241,8 @@ def lift_to_unitary(m: MoebiusMap, dim: int) -> UnitaryMatrix:
     gen = (np.diag((n - 2.0 * np.arange(dim)) * (-k * a.imag))
            + np.diag(upper, 1) + np.diag(upper.conjugate(), -1))
     lam, w = np.linalg.eigh(gen)
-    return UnitaryMatrix(_phase_canonical((w * np.exp(-1j * lam)) @ w.conj().T))
+    mat = (w * np.exp(-1j * lam)) @ w.conj().T
+    return UnitaryMatrix(mat * _unit_phase(mat[:, 0]))
 
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -269,37 +262,40 @@ def to_rotation(m: MoebiusMap) -> RotationMatrix:
     return RotationMatrix(0.5 * np.einsum("iab,jba->ij", _PAULI, conj).real)
 
 
+# Every gate kind: (parameter count, builder from the float parameters).
+# The parser, GateTerm and the random terms of ``verify`` read kinds and
+# arities from here; ``verify`` draws kinds in this order.
+_GATES = {
+    "not": (0, lambda: from_su2(0.0, 1j)),
+    "hadamard": (0, lambda: make(1.0, 1.0, 1.0, -1.0)),
+    "rotx": (1, lambda t: from_su2(math.cos(t / 2.0), 1j * math.sin(t / 2.0))),
+    "roty": (1, lambda t: from_su2(math.cos(t / 2.0), math.sin(t / 2.0))),
+    "rotz": (1, lambda t: from_su2(cmath.exp(-1j * t / 2.0), 0.0)),
+    "su2": (4, lambda ar, ai, br, bi: from_su2(complex(ar, ai), complex(br, bi))),
+    "raw": (8, lambda *e: make(*(complex(e[k], e[k + 1]) for k in range(0, 8, 2)))),
+}
+_ALIASES = {"h": "hadamard", "rx": "rotx", "ry": "roty", "rz": "rotz"}
+
+
 def standard_gate(name: str, *params: float) -> MoebiusMap:
-    """Named gates: not, hadamard, rot_x(t), rot_y(t), rot_z(t) (radians).
+    """The map of a gate-script term, by kind and parameters.
+
+    Kinds: not, hadamard, rotx(t), roty(t), rotz(t) (radians),
+    su2(a_re, a_im, b_re, b_im) and raw(a_re, a_im, ..., d_re, d_im), with
+    the script aliases h, rx, ry, rz.  Names are case-insensitive and, unlike
+    in scripts, may contain underscores (``rot_x``).
 
     ``hadamard`` is the map z -> (z + 1)/(z - 1), whose dim-2 lift is exactly
     the Hadamard matrix up to global phase.
     """
     key = name.lower().replace("_", "")
-
-    def need(k: int):
-        if len(params) != k:
-            raise ValueError(f"gate {name!r} takes {k} parameter(s), got {len(params)}")
-
-    if key == "not":
-        need(0)
-        return from_su2(0.0, 1j)
-    if key in ("hadamard", "h"):
-        need(0)
-        return make(1.0, 1.0, 1.0, -1.0)
-    if key in ("rotx", "rx"):
-        need(1)
-        t = float(params[0])
-        return from_su2(math.cos(t / 2.0), 1j * math.sin(t / 2.0))
-    if key in ("roty", "ry"):
-        need(1)
-        t = float(params[0])
-        return from_su2(math.cos(t / 2.0), math.sin(t / 2.0))
-    if key in ("rotz", "rz"):
-        need(1)
-        t = float(params[0])
-        return from_su2(cmath.exp(-1j * t / 2.0), 0.0)
-    raise UnknownGate(f"unknown gate {name!r}")
+    key = _ALIASES.get(key, key)
+    if key not in _GATES:
+        raise UnknownGate(f"unknown gate {name!r}")
+    arity, build = _GATES[key]
+    if len(params) != arity:
+        raise ValueError(f"gate {name!r} takes {arity} parameter(s), got {len(params)}")
+    return build(*(float(p) for p in params))
 
 
 def phase_aligned_distance(a, b) -> float:

@@ -10,10 +10,9 @@ Roots are checked independently of the method that finds them by their
 backward error: the state rebuilt from the found roots must be the state
 the polynomial encodes.  ``oracle_roots`` is a secondary check only.
 
-``tolerance`` in the configuration is the chordal bound for the
-cross-method comparisons (root finder vs oracle, lift-vs-Moebius
-equivariance), default 1e-8.
-Algebraic identities keep their own tighter, fixed bounds.
+The cross-method comparisons (root finder vs oracle, lift-vs-Moebius
+equivariance) match roots within the chordal bound 1e-8; algebraic
+identities keep their own tighter bounds.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotUnitary, ScriptError, SingularMatrix, ZeroInput
-from .formats import moebius_to_doc, root_to_doc, state_to_doc
-from .gatescript import GateProgram, GateTerm, compile_source, parse, render, term_to_map
+from .formats import _pair, moebius_to_doc, root_to_doc, state_to_doc
+from .gatescript import GateProgram, GateTerm, compile_source, parse, render
 from .majorana import (
     Constellation,
     MajoranaPolynomial,
@@ -44,8 +43,10 @@ from .majorana import (
     state_to_constellation,
 )
 from .moebius import (
+    _GATES,
     MoebiusMap,
     compose,
+    from_su2,
     inverse,
     is_special_unitary,
     lift_to_unitary,
@@ -77,6 +78,8 @@ __all__ = [
 ]
 
 _MAX_COUNTEREXAMPLES = 10
+# Chordal bound for matching the roots of two methods.
+_MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,6 @@ class SuiteConfig:
     dims: tuple[int, ...]
     trials: int
     seed: int
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -92,12 +94,9 @@ class SuiteConfig:
             raise ValueError(f"dims must be nonempty integers >= 2, got {self.dims!r}")
         if int(self.trials) < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
 @dataclass(frozen=True)
@@ -172,8 +171,6 @@ def random_state(rng: np.random.Generator, dim: int) -> QuditState:
 
 
 def random_su2(rng: np.random.Generator) -> MoebiusMap:
-    from .moebius import from_su2
-
     a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return from_su2(a, b)
 
@@ -198,7 +195,7 @@ def _random_point(rng: np.random.Generator) -> ExtendedComplex:
     return ExtendedComplex(modulus * np.exp(1j * phase))
 
 
-def _random_polynomial(rng: np.random.Generator, dim: int, match_tol: float):
+def _random_polynomial(rng: np.random.Generator, dim: int):
     """A polynomial plus the matching tolerance its roots deserve.
 
     A quarter of draws double one root (clusters are the hard case, matched
@@ -217,16 +214,12 @@ def _random_polynomial(rng: np.random.Generator, dim: int, match_tol: float):
     if style > 0.75 and dim >= 3:
         k = int(rng.integers(1, min(3, dim - 1) + 1))
         coeffs[-k:] = 0.0
-    return MajoranaPolynomial(tuple(coeffs)), match_tol
-
-
-_TERM_KINDS = ("not", "hadamard", "rotx", "roty", "rotz", "su2", "raw")
+    return MajoranaPolynomial(tuple(coeffs)), _MATCH_TOL
 
 
 def _random_term(rng: np.random.Generator) -> GateTerm:
-    kind = _TERM_KINDS[int(rng.integers(len(_TERM_KINDS)))]
-    arity = {"not": 0, "hadamard": 0, "rotx": 1, "roty": 1, "rotz": 1, "su2": 4, "raw": 8}[kind]
-    args = tuple(float(a) for a in rng.standard_normal(arity))
+    kind = list(_GATES)[int(rng.integers(len(_GATES)))]
+    args = tuple(float(a) for a in rng.standard_normal(_GATES[kind][0]))
     return GateTerm(kind, args)
 
 
@@ -234,7 +227,7 @@ def _random_compilable_term(rng: np.random.Generator) -> GateTerm:
     while True:
         term = _random_term(rng)
         try:
-            term_to_map(term)
+            standard_gate(term.kind, *term.args)
         except (SingularMatrix, ZeroInput):
             continue
         return term
@@ -250,7 +243,7 @@ def _random_program(rng: np.random.Generator) -> GateProgram:
 @dataclass(frozen=True)
 class _Property:
     name: str
-    run: Callable  # (rng, dim, match_tol) -> (deviation, limit, payload dict)
+    run: Callable  # (rng, dim) -> (deviation, limit, payload dict)
     fixed_dim: int | None = None
 
 
@@ -258,50 +251,46 @@ def _sphere_vec(z) -> np.ndarray:
     return np.array(to_sphere(z).as_tuple())
 
 
-def _prop_sphere_round_trip(rng, dim, match_tol):
+def _prop_sphere_round_trip(rng, dim):
     z = _random_point(rng)
     dev = chordal_distance(z, to_plane(to_sphere(z)))
     return dev, 1e-12, {"point": root_to_doc(z)}
 
 
-def _prop_chordal_is_euclidean(rng, dim, match_tol):
+def _prop_chordal_is_euclidean(rng, dim):
     z, w = _random_point(rng), _random_point(rng)
     dev = abs(chordal_distance(z, w) - float(np.linalg.norm(_sphere_vec(z) - _sphere_vec(w))))
     return dev, 1e-12, {"point": root_to_doc(z), "other": root_to_doc(w)}
 
 
-def _prop_antipodal_reflection(rng, dim, match_tol):
+def _prop_antipodal_reflection(rng, dim):
     z = _random_point(rng)
     dev = float(np.linalg.norm(_sphere_vec(antipode(z)) + _sphere_vec(z)))
     return dev, 1e-12, {"point": root_to_doc(z)}
 
 
-def _prop_antipode_involution(rng, dim, match_tol):
+def _prop_antipode_involution(rng, dim):
     z = _random_point(rng)
     dev = chordal_distance(antipode(antipode(z)), z)
     return dev, 1e-14, {"point": root_to_doc(z)}
 
 
-def _pair_doc(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _prop_scale_invariance(rng, dim, match_tol):
+def _prop_scale_invariance(rng, dim):
     psi = random_state(rng, dim)
     scalar = (10.0 ** rng.uniform(-3.0, 3.0)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     scaled = QuditState(tuple(np.array(psi.amplitudes) * scalar))
     _, worst = constellation_pairing(state_to_constellation(psi), state_to_constellation(scaled))
-    return worst, 1e-9, {"state": state_to_doc(psi), "scalar": _pair_doc(scalar)}
+    return worst, 1e-9, {"state": state_to_doc(psi), "scalar": _pair(scalar)}
 
 
-def _prop_reconstruction_fidelity(rng, dim, match_tol):
+def _prop_reconstruction_fidelity(rng, dim):
     psi = random_state(rng, dim)
     back = constellation_to_state(state_to_constellation(psi))
     dev = 1.0 - projective_fidelity(psi, back)
     return dev, 1e-10, {"state": state_to_doc(psi)}
 
 
-def _prop_qubit_ratio(rng, dim, match_tol):
+def _prop_qubit_ratio(rng, dim):
     psi = random_state(rng, 2)
     a0, a1 = psi.amplitudes
     expected = INFINITY if a1 == 0 else ExtendedComplex(a0 / a1)
@@ -310,14 +299,14 @@ def _prop_qubit_ratio(rng, dim, match_tol):
     return dev, 1e-12, {"state": state_to_doc(psi)}
 
 
-def _prop_bloch_equivalence(rng, dim, match_tol):
+def _prop_bloch_equivalence(rng, dim):
     psi = random_state(rng, 2)
     root = state_to_constellation(psi).roots[0]
     dev = float(np.linalg.norm(_sphere_vec(root) - np.array(bloch_vector(psi).as_tuple())))
     return dev, 1e-10, {"state": state_to_doc(psi)}
 
 
-def _prop_orthogonal_antipodality(rng, dim, match_tol):
+def _prop_orthogonal_antipodality(rng, dim):
     psi = random_state(rng, 2)
     a0, a1 = psi.amplitudes
     perp = QuditState((-a1.conjugate(), a0.conjugate()))
@@ -326,7 +315,7 @@ def _prop_orthogonal_antipodality(rng, dim, match_tol):
     return dev, 1e-10, {"state": state_to_doc(psi)}
 
 
-def _prop_basis_constellations(rng, dim, match_tol):
+def _prop_basis_constellations(rng, dim):
     level = int(rng.integers(dim))
     expected = Constellation(dim, tuple([ExtendedComplex(0.0)] * level
                                         + [INFINITY] * (dim - 1 - level)))
@@ -334,7 +323,7 @@ def _prop_basis_constellations(rng, dim, match_tol):
     return worst, 1e-12, {"state": state_to_doc(basis_state(dim, level))}
 
 
-def _prop_group_laws(rng, dim, match_tol):
+def _prop_group_laws(rng, dim):
     m1, m2, m3 = (_random_moebius(rng) for _ in range(3))
     ident = make(1.0, 0.0, 0.0, 1.0)
     dev = max(
@@ -345,14 +334,14 @@ def _prop_group_laws(rng, dim, match_tol):
     return dev, 1e-12, {"map": moebius_to_doc(m1), "second": moebius_to_doc(m2)}
 
 
-def _prop_central_equivariance(rng, dim, match_tol):
+def _prop_central_equivariance(rng, dim):
     m = random_su2(rng)
     psi = random_state(rng, dim)
-    _, worst = equivariance_trial(m, psi, match_tol)
-    return worst, match_tol, {"map": moebius_to_doc(m), "state": state_to_doc(psi)}
+    _, worst = equivariance_trial(m, psi, _MATCH_TOL)
+    return worst, _MATCH_TOL, {"map": moebius_to_doc(m), "state": state_to_doc(psi)}
 
 
-def _prop_lift_homomorphism(rng, dim, match_tol):
+def _prop_lift_homomorphism(rng, dim):
     m1, m2 = random_su2(rng), random_su2(rng)
     u12 = lift_to_unitary(compose(m1, m2), dim).matrix
     u1u2 = lift_to_unitary(m1, dim).matrix @ lift_to_unitary(m2, dim).matrix
@@ -360,13 +349,13 @@ def _prop_lift_homomorphism(rng, dim, match_tol):
     return dev, 1e-9, {"map": moebius_to_doc(m1), "second": moebius_to_doc(m2)}
 
 
-def _prop_qubit_lift_faithful(rng, dim, match_tol):
+def _prop_qubit_lift_faithful(rng, dim):
     m = random_su2(rng)
     dev = phase_aligned_distance(lift_to_unitary(m, 2).matrix, m.matrix)
     return dev, 1e-10, {"map": moebius_to_doc(m)}
 
 
-def _prop_rotation_double_cover(rng, dim, match_tol):
+def _prop_rotation_double_cover(rng, dim):
     m1, m2 = random_su2(rng), random_su2(rng)
     r1 = to_rotation(m1).matrix
     negated = MoebiusMap(-m1.a, -m1.b, -m1.c, -m1.d)
@@ -377,22 +366,22 @@ def _prop_rotation_double_cover(rng, dim, match_tol):
     return dev, 1e-10, {"map": moebius_to_doc(m1), "second": moebius_to_doc(m2)}
 
 
-def _prop_not_involution(rng, dim, match_tol):
+def _prop_not_involution(rng, dim):
     u = lift_to_unitary(standard_gate("not"), dim).matrix
     dev = phase_aligned_distance(u @ u, np.eye(dim))
     return dev, 1e-9, {"dim_checked": dim}
 
 
-def _prop_oracle_agreement(rng, dim, match_tol):
-    poly, limit = _random_polynomial(rng, dim, match_tol)
+def _prop_oracle_agreement(rng, dim):
+    poly, limit = _random_polynomial(rng, dim)
     _, worst = constellation_pairing(find_roots(poly), oracle_roots(poly))
     return worst, limit, {"state": state_to_doc(polynomial_to_state(poly))}
 
 
-def _prop_root_backward_error(rng, dim, match_tol):
+def _prop_root_backward_error(rng, dim):
     # The unit state the polynomial encodes against the state rebuilt from
     # its found roots, after optimal global phase: no second root finder.
-    poly, _ = _random_polynomial(rng, dim, match_tol)
+    poly, _ = _random_polynomial(rng, dim)
     state = polynomial_to_state(poly)
     want = state.normalized().as_vector()
     got = constellation_to_state(find_roots(poly)).as_vector()
@@ -400,13 +389,13 @@ def _prop_root_backward_error(rng, dim, match_tol):
     return dev, 1e-10, {"state": state_to_doc(state)}
 
 
-def _prop_script_round_trip(rng, dim, match_tol):
+def _prop_script_round_trip(rng, dim):
     program = _random_program(rng)
     dev = 0.0 if parse(render(program)) == program else 1.0
     return dev, 0.5, {"program": render(program)}
 
 
-def _prop_script_compose_law(rng, dim, match_tol):
+def _prop_script_compose_law(rng, dim):
     t1, t2 = _random_compilable_term(rng), _random_compilable_term(rng)
     src1 = render(GateProgram((t1,)))
     src2 = render(GateProgram((t2,)))
@@ -417,7 +406,7 @@ def _prop_script_compose_law(rng, dim, match_tol):
     return dev, 1e-12, {"program": f"{src1}; {src2}"}
 
 
-def _prop_script_error_positions(rng, dim, match_tol):
+def _prop_script_error_positions(rng, dim):
     program = _random_program(rng)
     text = render(program)
     if rng.uniform() < 0.5:
@@ -478,7 +467,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         for trial in range(config.trials):
             rng = np.random.default_rng((config.seed, prop_index, trial))
             dim = prop.fixed_dim or config.dims[trial % len(config.dims)]
-            deviation, limit, payload = prop.run(rng, dim, config.tolerance)
+            deviation, limit, payload = prop.run(rng, dim)
             deviation = float(deviation)
             worst = max(worst, deviation)
             if deviation <= limit:

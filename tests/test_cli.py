@@ -195,3 +195,13 @@ def test_unknown_subcommand():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_traced_benchmark_names_exist(monkeypatch):
+    """``bench/cli_oneshot.py --trace 1`` patches these library attributes by name."""
+    import importlib
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    cli_oneshot = importlib.import_module("cli_oneshot")
+    for module, attr in [*((m, a) for m, a, _ in cli_oneshot._TRACED), ("cli", "formats")]:
+        assert hasattr(importlib.import_module(f"quditstars.{module}"), attr), (module, attr)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import script_corpus
-from quditstars.errors import NonUnitaryGate, ScriptError, SingularMatrix
+from quditstars.errors import GateSyntaxError, NonUnitaryGate, ScriptError, SingularMatrix
 from quditstars.gatescript import (
     GateProgram,
     GateTerm,
@@ -13,7 +13,16 @@ from quditstars.gatescript import (
     parse,
     render,
 )
-from quditstars.moebius import apply_point, compose, make, projectively_equal
+from quditstars.moebius import (
+    _ALIASES,
+    _GATES,
+    apply_point,
+    compose,
+    from_su2,
+    make,
+    projectively_equal,
+    standard_gate,
+)
 
 IDENT = make(1, 0, 0, 1)
 
@@ -112,6 +121,32 @@ class TestRender:
 
     def test_canonical_names(self):
         assert render(parse("rx(1.0); H")) == "rotx(1.0); hadamard"
+
+
+class TestGateTable:
+    """Scripts and ``standard_gate`` share one table of kinds and aliases."""
+
+    ARGS = (0.3, -0.7, 1.1, 0.2, 0.5, -0.4, 0.9, 1.3)
+
+    @pytest.mark.parametrize("name", [*_GATES, *_ALIASES])
+    def test_script_compiles_to_standard_gate(self, name):
+        kind = _ALIASES.get(name, name)
+        args = self.ARGS[:_GATES[kind][0]]
+        source = f"{name}({', '.join(map(repr, args))})" if args else name
+        compiled = compile_source(source, allow_nonunitary=True)
+        assert projectively_equal(compiled, standard_gate(kind, *args))
+        assert projectively_equal(compiled, standard_gate(name, *args))
+
+    def test_su2_and_raw_entries(self):
+        a, b, c, d = 0.3 - 0.7j, 1.1 + 0.2j, 0.5 - 0.4j, 0.9 + 1.3j
+        assert standard_gate("su2", *self.ARGS[:4]) == from_su2(a, b)
+        assert standard_gate("raw", *self.ARGS) == make(a, b, c, d)
+
+    def test_underscores_only_outside_scripts(self):
+        assert projectively_equal(standard_gate("rot_x", 0.3), standard_gate("rx", 0.3))
+        with pytest.raises(GateSyntaxError) as info:
+            parse("rot_x(0.3)")
+        assert (info.value.line, info.value.column) == (1, 1)
 
 
 _kinds = st.sampled_from(["not", "hadamard", "rotx", "roty", "rotz", "su2", "raw"])

@@ -92,8 +92,6 @@ class TestSuite:
             SuiteConfig(dims=(1,), trials=5, seed=1)
         with pytest.raises(ValueError):
             SuiteConfig(dims=(2,), trials=0, seed=1)
-        with pytest.raises(ValueError):
-            SuiteConfig(dims=(2,), trials=5, seed=1, tolerance=0.0)
 
     def test_single_trial_shape(self):
         report = run_suite(SuiteConfig(dims=(2,), trials=1, seed=42))
