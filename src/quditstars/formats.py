@@ -2,9 +2,9 @@
 
 All real numbers are emitted with 17 significant digits, which round-trips
 every double exactly, and the writer is deterministic: identical documents
-serialize to identical bytes.  The standard library's ``json`` module is
-used for parsing; writing goes through a small canonical emitter so the
-digit count is under our control.
+serialize to identical bytes, and zero is written "0", never "-0".  The
+standard library's ``json`` module is used for parsing; writing goes through
+a small canonical emitter so the digit count is under our control.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def format_real(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite real {x!r}")
-    return format(x, ".17g")
+    return format(x + 0.0, ".17g")  # -0.0 + 0.0 is 0.0
 
 
 def _emit(value, out: list[str]) -> None:

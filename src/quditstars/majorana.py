@@ -12,6 +12,7 @@ number, so the constellation represents the projective state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,6 +143,7 @@ def basis_state(dim: int, level: int) -> QuditState:
     return QuditState(tuple(amps))
 
 
+@functools.lru_cache(maxsize=64)
 def _signed_weights(n: int) -> np.ndarray:
     """(-1)^mu sqrt(C(n, mu)) for mu = 0..n, by incremental products of ratios.
 
@@ -149,11 +151,13 @@ def _signed_weights(n: int) -> np.ndarray:
     encodings multiply by a weight's sign and modulus as two exact factors:
     one complex product with the signed weight would give zero amplitudes
     other signs of zero ("-0" for "0" in state and constellation files).
+    Cached per n and read-only, since every caller shares the array.
     """
     w = np.empty(n + 1)
     w[0] = 1.0
     for mu in range(n):
         w[mu + 1] = -w[mu] * math.sqrt((n - mu) / (mu + 1))
+    w.flags.writeable = False
     return w
 
 
@@ -255,6 +259,9 @@ def expand_roots(constellation: Constellation, scale: complex) -> MajoranaPolyno
     for root in sorted(constellation.roots, key=_sort_key):
         if not root.is_infinite:
             coeffs = np.convolve(coeffs, np.array([-root.value, 1.0], dtype=complex))
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"expanding this {constellation.dim}-level constellation "
+                         "overflows double precision")
     padded = np.zeros(constellation.dim, dtype=complex)
     padded[: len(coeffs)] = coeffs
     return MajoranaPolynomial(tuple(padded))
@@ -277,6 +284,9 @@ def constellation_to_state(constellation: Constellation) -> QuditState:
     """Reconstruct the canonical (unit-norm, phase-fixed) state of a
     constellation; inverse of ``state_to_constellation`` up to overall scale."""
     amps = polynomial_to_state(expand_roots(constellation, 1.0)).as_vector()
+    # Scale by the power of two at the largest modulus first: exact, and the
+    # squares inside the norm can no longer overflow.
+    amps = amps / 2.0 ** math.frexp(np.abs(amps).max())[1]
     amps = amps / np.linalg.norm(amps)
     return QuditState(tuple(amps * _unit_phase(amps)))
 

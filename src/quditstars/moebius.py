@@ -4,14 +4,15 @@ A nonsingular 2x2 complex matrix acts on C u {inf} by
 z -> (a z + b)/(c z + d).  The special-unitary subfamily, built with
 ``from_su2``, acts as rigid rotations of the sphere and lifts to an exact
 d x d unitary on the amplitudes of a d-level state, for any d: the same
-two complex parameters drive every dimension.  The lift exponentiates the
-spin-(d-1)/2 generator of the map by exact diagonalisation; the rotation is
-the closed-form adjoint action of the 2x2 matrix on the Pauli matrices.
+two complex parameters drive every dimension.  The lift takes the map's
+Euler angles and one cached per-d eigenbasis of the spin-(d-1)/2 Jx (the
+Dicke ladder); the rotation is nine closed-form quadratics in the entries.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -211,55 +212,54 @@ class RotationMatrix:
         return SpherePoint(*(self.matrix @ np.array(point.as_tuple())))
 
 
+@functools.lru_cache(maxsize=64)
+def _spin_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jx = v diag(lam) v^T in spin (d-1)/2: lam exact, v from ``eigh`` of the
+    Dicke ladder, polished by one Newton-Schulz step; Jz = diag(-lam).  Both
+    are read-only, since every lift of dimension d shares them."""
+    ladder = np.sqrt(np.arange(1.0, dim) * np.arange(dim - 1.0, 0.0, -1.0)) / 2.0
+    _, v = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
+    v = v @ (1.5 * np.eye(dim) - 0.5 * (v.T @ v))
+    lam = np.arange(dim) - (dim - 1) / 2.0
+    lam.flags.writeable = v.flags.writeable = False
+    return lam, v
+
+
 def lift_to_unitary(m: MoebiusMap, dim: int) -> UnitaryMatrix:
     """The d x d unitary acting on amplitudes the way m acts on the roots.
 
-    Writes m = exp(-i h) with h the traceless Hermitian 2x2 generator, builds
-    its spin-(d-1)/2 representation H (tridiagonal on the Dicke ladder
-    elements sqrt((j+1)(n-j))) and exponentiates it through ``eigh``, so the
-    result is unitary to rounding at every d.  The global phase is fixed with
-    the first significant entry of column 0 real positive.  Only
-    special-unitary maps lift; anything else raises NotUnitary (use
-    ``transform_constellation`` for general maps).  For dim 2 the result is
-    m's own determinant-1 matrix up to global phase.
+    exp(-i alpha Jz) exp(-i beta Jx) exp(-i gamma Jz) in spin (d-1)/2, from m's
+    Euler angles and the cached ``_spin_table``: unitary to rounding at every
+    d, m's own matrix at d = 2, with column 0's first significant entry real
+    positive.  Other maps raise NotUnitary (``transform_constellation`` moves them).
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     if not is_special_unitary(m):
         raise NotUnitary("only special-unitary maps lift to a unitary; "
                          "use transform_constellation for general maps")
-    a, b = m.a, m.b
-    if a.real < 0:
-        # -m lifts to (-1)^n times m's lift; the phase fix removes the sign.
-        a, b = -a, -b
-    # m = cos(phi) - i sin(phi) (u . sigma) with phi in [0, pi/2]: h = phi u . sigma.
-    phi = math.atan2(math.sqrt(a.imag ** 2 + abs(b) ** 2), a.real)
-    k = 1.0 / np.sinc(phi / math.pi)
-    n = dim - 1
-    j = np.arange(n)
-    upper = 1j * k * b * np.sqrt((j + 1.0) * (n - j))
-    gen = (np.diag((n - 2.0 * np.arange(dim)) * (-k * a.imag))
-           + np.diag(upper, 1) + np.diag(upper.conjugate(), -1))
-    lam, w = np.linalg.eigh(gen)
-    mat = (w * np.exp(-1j * lam)) @ w.conj().T
+    # a = exp(-i(alpha+gamma)/2) cos(beta/2), i b = exp(-i(alpha-gamma)/2) sin(beta/2);
+    # where a or b is 0 its arg is arbitrary, since its factor vanishes.
+    beta = 2.0 * math.atan2(abs(m.b), abs(m.a))
+    arg_a, arg_b = cmath.phase(m.a), cmath.phase(1j * m.b)
+    lam, v = _spin_table(dim)
+    mat = (np.exp(-1j * (arg_a + arg_b) * lam)[:, None]
+           * ((v * np.exp(-1j * beta * lam)) @ v.T) * np.exp(1j * (arg_b - arg_a) * lam))
     return UnitaryMatrix(mat * _unit_phase(mat[:, 0]))
-
-
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def to_rotation(m: MoebiusMap) -> RotationMatrix:
     """The 3x3 rotation R with to_sphere(m(z)) = R to_sphere(z) for all z.
 
-    to_sphere(z) is the Bloch vector of the spinor (z, 1), so R is the
-    adjoint action of U = m's SU(2) matrix: R_ij = Re Tr(s_i U s_j U+) / 2
-    over the Pauli matrices s_i.
-    """
+    to_sphere(z) is the Bloch vector of (z, 1), so R_ij = Re Tr(s_i U s_j U+)/2
+    for U = ((a, b), (-b*, a*)): nine quadratics over |a|^2 + |b|^2."""
     if not is_special_unitary(m):
         raise NotUnitary("only special-unitary maps act as rotations")
-    u = from_su2(m.a, m.b).matrix
-    conj = u @ _PAULI @ u.conj().T
-    return RotationMatrix(0.5 * np.einsum("iab,jba->ij", _PAULI, conj).real)
+    a, b = m.a, m.b
+    p, q, r, c = a * a - b * b, a * a + b * b, 2 * a * b, 2 * a * b.conjugate()
+    rows = [[p.real, q.imag, -r.real], [-p.imag, q.real, r.imag],
+            [c.real, c.imag, abs(a) ** 2 - abs(b) ** 2]]
+    return RotationMatrix(np.array(rows) / (abs(a) ** 2 + abs(b) ** 2))
 
 
 # Every gate kind: (parameter count, builder from the float parameters).

@@ -9,6 +9,8 @@ import pytest
 from quditstars import formats
 from quditstars.cli import main
 from quditstars.majorana import QuditState, projective_fidelity
+from quditstars.moebius import lift_to_unitary, standard_gate
+from test_majorana import dicke_state, phase_distance, ring_roots
 
 
 def write_state(path, amplitudes):
@@ -73,6 +75,41 @@ def test_transform_allows_nonunitary_with_flag(tmp_path):
     assert main(["transform", "--state", state, "--program", "raw(2,0,0,0,0,0,1,0)",
                  "--out", str(out), "--allow-nonunitary"]) == 0
     assert out.exists()
+
+
+def test_transform_not_moves_south_cap_to_north_dim201(tmp_path):
+    # The moved stars sit near |z| = 20, where the expanded coefficients
+    # reach ~1e260 and the sum of their squares overflows unless rescaled.
+    psi = dicke_state(ring_roots(201, 0.05, 201), 201)
+    state = write_state(tmp_path / "s.json", psi)
+    out = tmp_path / "t.json"
+    assert main(["transform", "--state", state, "--program", "not", "--out", str(out)]) == 0
+    moved = formats.state_from_doc(formats.load_doc(out)).as_vector()
+    lifted = lift_to_unitary(standard_gate("not"), 201).apply(psi)
+    assert phase_distance(moved, lifted) <= 1e-9
+
+
+def test_reconstruct_overflow_is_one_line_error(tmp_path, capsys):
+    # prod |z| ~ 1e600 at d = 301 is past double precision: a loud, clean failure.
+    roots = ring_roots(301, 100.0, 301)
+    path = tmp_path / "c.json"
+    formats.save_doc(path, {"dim": 301, "roots": [{"re": z.real, "im": z.imag} for z in roots]})
+    out = tmp_path / "s.json"
+    assert main(["reconstruct", "--constellation", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_outputs_write_no_negative_zero(tmp_path):
+    rot = tmp_path / "r.json"
+    assert main(["rotation", "--program", "not", "--out", str(rot)]) == 0
+    assert "-0" not in rot.read_text()
+    croots = tmp_path / "c.json"
+    formats.save_doc(croots, {"dim": 2, "roots": [{"inf": True}]})
+    back = tmp_path / "s.json"
+    assert main(["reconstruct", "--constellation", str(croots), "--out", str(back)]) == 0
+    assert "-0" not in back.read_text()
 
 
 def test_lift_not_gate_dim3(tmp_path):

@@ -19,6 +19,11 @@ def test_format_real_17_digits():
         assert float(formats.format_real(x)) == x
 
 
+def test_format_real_writes_zero_without_sign():
+    assert formats.format_real(-0.0) == "0"
+    assert formats.dumps_canonical([-0.0, [0.0, -0.0]]) == "[0, [0, 0]]"
+
+
 def test_format_real_rejects_nonfinite():
     with pytest.raises(ValueError):
         formats.format_real(float("inf"))

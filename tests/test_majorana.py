@@ -229,6 +229,13 @@ def uniform_roots(rng, count):
     return list((x + 1j * y) / (r - z))
 
 
+def ring_roots(dim, radius, seed):
+    """dim - 1 stars near |z| = radius, at random angles."""
+    rng = np.random.default_rng(seed)
+    return list(radius * np.exp(2j * np.pi * rng.random(dim - 1))
+                * (1 + 0.1 * rng.standard_normal(dim - 1)))
+
+
 class TestLargeDim:
     """Round trips, planted constellations and transport up to d = 301."""
 
@@ -258,6 +265,15 @@ class TestLargeDim:
             psi = dicke_state(roots, dim)
             back = constellation_to_state(state_to_constellation(QuditState(tuple(psi))))
             assert phase_distance(back.as_vector(), psi) <= 1e-9
+
+    @pytest.mark.parametrize("dim,radius", [(101, 1e3), (201, 30.0), (301, 10.0)])
+    def test_northern_ring_rebuilds_without_overflow(self, dim, radius):
+        # The expanded coefficients are finite, but their squares overflow.
+        roots = ring_roots(dim, radius, dim)
+        back = constellation_to_state(const(dim, *roots))
+        want = dicke_state(roots, dim)
+        assert 1.0 - projective_fidelity(back, QuditState(tuple(want))) <= 1e-12
+        assert phase_distance(back.as_vector(), want) <= 1e-12
 
     def test_any_root_order_rebuilds_planted_state(self):
         # Ordered by real part, the factors' partial products grow until

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm, logm
 
+from quditstars import majorana, moebius
 from quditstars.errors import NotUnitary, SingularMatrix, UnknownGate, ZeroInput
 from quditstars.majorana import (
     Constellation,
@@ -233,7 +235,68 @@ class TestLiftLargeDim:
             assert phase_aligned_distance(left, right) <= 1e-9
 
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def spin_generator(m, dim):
+    """2 h.J for m = exp(-i h.s): the spin-(dim-1)/2 image of m's generator.
+
+    h comes from the matrix logarithm of m, J from the ladder operator
+    J+_{k,k+1} = sqrt((k+1)(n-k)) and Jz = diag(n/2 - k), n = dim - 1.
+    """
+    h = 1j * logm(m.matrix)
+    hx, hy, hz = (0.5 * np.trace(h @ s).real for s in PAULI)
+    n = dim - 1
+    k = np.arange(n)
+    jp = np.diag(np.sqrt((k + 1.0) * (n - k)), 1)
+    jx, jy = (jp + jp.T) / 2, (jp - jp.T) / 2j
+    jz = np.diag(n / 2.0 - np.arange(dim))
+    return 2 * (hx * jx + hy * jy + hz * jz)
+
+
+class TestLiftReference:
+    """The lift against expm of the spin-j generator, built here from scratch."""
+
+    @pytest.mark.parametrize("dim,tol", [(d, 1e-12) for d in range(2, 13)]
+                             + [(33, 1e-12), (101, 1e-10), (301, 1e-10)])
+    def test_matches_expm_of_generator(self, dim, tol):
+        rng = np.random.default_rng(dim + 7)
+        for _ in range(5 if dim <= 33 else 2):
+            m = random_su2(rng)
+            want = expm(-1j * spin_generator(m, dim))
+            assert phase_aligned_distance(lift_to_unitary(m, dim).matrix, want) <= tol
+
+    def test_unitarity_defect_small_dims(self):
+        rng = np.random.default_rng(59)
+        for dim in range(2, 11):
+            for _ in range(200):
+                u = lift_to_unitary(random_su2(rng), dim).matrix
+                assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 4e-15
+
+    def test_cached_tables_are_read_only_and_bounded(self):
+        lam, v = moebius._spin_table(7)
+        w = majorana._signed_weights(6)
+        for arr in (lam, v, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        for dim in range(2, 80):
+            moebius._spin_table(dim)
+            majorana._signed_weights(dim)
+        for cached in (moebius._spin_table, majorana._signed_weights):
+            assert cached.cache_info().maxsize == 64
+            assert cached.cache_info().currsize <= 64
+
+
 class TestRotation:
+    def test_matches_pauli_adjoint_action(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            m = random_su2(rng)
+            u = m.matrix
+            want = np.array([[0.5 * np.trace(si @ u @ sj @ u.conj().T).real for sj in PAULI]
+                             for si in PAULI])
+            assert np.abs(to_rotation(m).matrix - want).max() <= 2e-15
+
     def test_identity(self):
         np.testing.assert_allclose(to_rotation(IDENT).matrix, np.eye(3), atol=1e-14)
 
