@@ -180,7 +180,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (QuditStarsError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (QuditStarsError, ValueError, OverflowError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -137,11 +137,9 @@ def root_to_doc(root: ExtendedComplex) -> dict:
 def root_from_doc(doc) -> ExtendedComplex:
     if not isinstance(doc, dict):
         raise ValueError(f"root must be an object, got {doc!r}")
-    if doc.get("inf"):
+    if doc.get("inf") is True:
         return INFINITY
-    if "re" in doc and "im" in doc:
-        return ExtendedComplex(complex(float(doc["re"]), float(doc["im"])))
-    raise ValueError(f"root needs re/im fields or inf flag, got {doc!r}")
+    return ExtendedComplex(_complex_from([doc.get("re"), doc.get("im")], "root re/im"))
 
 
 def constellation_to_doc(constellation: Constellation) -> dict:

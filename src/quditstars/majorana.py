@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, WrongDimension, ZeroPolynomial
-from .sphere import INFINITY, ExtendedComplex, SpherePoint, as_point, chordal_distance, to_sphere
+from .sphere import (INFINITY, ExtendedComplex, SpherePoint, _spinor, as_point, chordal_distance,
+                     to_sphere)
 
 __all__ = [
     "QuditState",
@@ -282,10 +283,22 @@ def _unit_phase(v: np.ndarray) -> complex:
 
 def constellation_to_state(constellation: Constellation) -> QuditState:
     """Reconstruct the canonical (unit-norm, phase-fixed) state of a
-    constellation; inverse of ``state_to_constellation`` up to overall scale."""
-    amps = polynomial_to_state(expand_roots(constellation, 1.0)).as_vector()
+    constellation; inverse of ``state_to_constellation`` up to overall scale.
+
+    Multiplies the stars' spinor factors (v z - u) in ``_sort_key`` order (a
+    star at infinity is the constant -1): |coefficient mu| <= C(n, mu), so
+    only d past ~1000 overflows."""
+    coeffs = np.ones(1, dtype=complex)
+    for root in sorted(constellation.roots, key=_sort_key):
+        u, v = _spinor(root)
+        coeffs = np.convolve(coeffs, np.array([-u, v], dtype=complex))
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"expanding this {constellation.dim}-level constellation "
+                         "overflows double precision")
+    w = _signed_weights(constellation.dim - 1)
+    amps = coeffs * np.sign(w) / np.abs(w)
     # Scale by the power of two at the largest modulus first: exact, and the
-    # squares inside the norm can no longer overflow.
+    # squares inside the norm can no longer underflow.
     amps = amps / 2.0 ** math.frexp(np.abs(amps).max())[1]
     amps = amps / np.linalg.norm(amps)
     return QuditState(tuple(amps * _unit_phase(amps)))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotUnitary, SingularMatrix, UnknownGate, ZeroInput
 from .majorana import Constellation, _unit_phase
-from .sphere import INFINITY, ExtendedComplex, SpherePoint, as_point
+from .sphere import ExtendedComplex, SpherePoint, _point, _spinor
 
 __all__ = [
     "MoebiusMap",
@@ -106,24 +106,9 @@ def from_su2(a, b) -> MoebiusMap:
 
 
 def apply_point(m: MoebiusMap, z) -> ExtendedComplex:
-    """(a z + b)/(c z + d) with the projective conventions at infinity."""
-    p = as_point(z)
-    if p.is_infinite:
-        if m.c == 0:
-            return INFINITY
-        return ExtendedComplex(m.a / m.c)
-    v = p.value
-    if abs(v) > 1e100:
-        # Evaluate in 1/v to keep c*v from overflowing.
-        t = 1.0 / v
-        den = m.c + m.d * t
-        if den == 0:
-            return INFINITY
-        return ExtendedComplex((m.a + m.b * t) / den)
-    den = m.c * v + m.d
-    if den == 0:
-        return INFINITY
-    return ExtendedComplex((m.a * v + m.b) / den)
+    """(a z + b)/(c z + d), applied to the spinor of z (see ``sphere._spinor``)."""
+    u, v = _spinor(z)
+    return _point(m.a * u + m.b * v, m.c * u + m.d * v)
 
 
 def compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:

@@ -9,6 +9,10 @@ Majorana point lands exactly on the Bloch vector (see ``majorana.bloch_vector``
 and the tests pinning that correspondence).  The chordal metric below is the
 Euclidean distance between sphere images and is the uniform tolerance metric
 for everything in C u {inf}.
+
+``_spinor`` is the one place that handles infinity and large moduli: the
+point functions here, Moebius transport and reconstruction all compute on
+its spinors (u, v), z = u/v, with no branches of their own.
 """
 
 from __future__ import annotations
@@ -117,26 +121,37 @@ class SpherePoint:
         return SpherePoint(-self.x, -self.y, -self.z)
 
 
+def _spinor(z) -> tuple[complex, float]:
+    """(z, 1) times 2^-max(0, exponent of |z|), and (1, 0) at infinity.
+
+    The power of two is exact, so formulas on (u, v) round as on (z, 1), and
+    max(|u|, |v|) in [1/2, 1] keeps their products from overflowing."""
+    z = as_point(z).value
+    if z is None:
+        return 1.0, 0.0
+    r = abs(z)
+    if r < 1.0:
+        return z, 1.0
+    s = math.ldexp(1.0, -math.frexp(r)[1])
+    return z * s, s
+
+
+def _point(u: complex, v: complex) -> ExtendedComplex:
+    """The point u/v of a spinor; infinity when v is zero."""
+    return INFINITY if v == 0 else ExtendedComplex(u / v)
+
+
 def to_sphere(z) -> SpherePoint:
     """Stereographic image of a point of C u {inf} on the unit sphere.
 
     The origin maps to the south pole (0, 0, -1), the unit circle to the
     equator, and infinity to the north pole (0, 0, 1).  Total function.
     """
-    p = as_point(z)
-    if p.is_infinite:
-        return SpherePoint(0.0, 0.0, 1.0)
-    v = p.value
-    r = abs(v)
-    if r > 1e100:
-        # Scaled form (divide through by r) to dodge overflow of r*r.
-        w = v / r
-        denom = r + 1.0 / r
-        return SpherePoint(2.0 * w.real / denom, -2.0 * w.imag / denom,
-                           (r - 1.0 / r) / denom)
-    denom = r * r + 1.0
-    return SpherePoint(2.0 * v.real / denom, -2.0 * v.imag / denom,
-                       (r * r - 1.0) / denom)
+    u, v = _spinor(z)
+    r = abs(u)
+    denom = r * r + v * v
+    return SpherePoint(2.0 * u.real * v / denom, -2.0 * u.imag * v / denom,
+                       (r * r - v * v) / denom)
 
 
 def to_plane(v: SpherePoint) -> ExtendedComplex:
@@ -158,13 +173,8 @@ def to_plane(v: SpherePoint) -> ExtendedComplex:
 
 def antipode(z) -> ExtendedComplex:
     """The diametrically opposite point: z -> -1/conj(z), swapping 0 and inf."""
-    p = as_point(z)
-    if p.is_infinite:
-        return ExtendedComplex(0.0)
-    v = p.value
-    if v == 0:
-        return INFINITY
-    return ExtendedComplex(-1.0 / v.conjugate())
+    u, v = _spinor(z)
+    return _point(-v, u.conjugate())
 
 
 def chordal_distance(z, w) -> float:
@@ -173,12 +183,5 @@ def chordal_distance(z, w) -> float:
     2|z - w| / sqrt((1 + |z|^2)(1 + |w|^2)) for finite arguments; range [0, 2]
     with antipodal points at distance 2.
     """
-    zp, wp = as_point(z), as_point(w)
-    if zp.is_infinite and wp.is_infinite:
-        return 0.0
-    if zp.is_infinite or wp.is_infinite:
-        f = wp.value if zp.is_infinite else zp.value
-        return 2.0 / math.hypot(1.0, abs(f))
-    a, b = zp.value, wp.value
-    # hypot keeps 1 + |z|^2 from overflowing for large moduli.
-    return 2.0 * (abs(a - b) / math.hypot(1.0, abs(a))) / math.hypot(1.0, abs(b))
+    (a, s), (b, t) = _spinor(z), _spinor(w)
+    return 2.0 * (abs(a * t - b * s) / math.hypot(s, abs(a))) / math.hypot(t, abs(b))

@@ -77,27 +77,43 @@ def test_transform_allows_nonunitary_with_flag(tmp_path):
     assert out.exists()
 
 
-def test_transform_not_moves_south_cap_to_north_dim201(tmp_path):
-    # The moved stars sit near |z| = 20, where the expanded coefficients
-    # reach ~1e260 and the sum of their squares overflows unless rescaled.
-    psi = dicke_state(ring_roots(201, 0.05, 201), 201)
+@pytest.mark.parametrize("dim,radius", [(201, 0.05), (301, 0.09)])
+def test_transform_not_moves_south_cap_to_north(tmp_path, dim, radius):
+    # Monic factors (z - 1/alpha) of the moved stars would reach ~1e260 at
+    # d = 201 and overflow (~1e313) at d = 301.  At d = 301 a cap of 0.05
+    # underflows a quarter of the amplitudes, whose stars then sit at 0.
+    psi = dicke_state(ring_roots(dim, radius, dim), dim)
     state = write_state(tmp_path / "s.json", psi)
     out = tmp_path / "t.json"
     assert main(["transform", "--state", state, "--program", "not", "--out", str(out)]) == 0
     moved = formats.state_from_doc(formats.load_doc(out)).as_vector()
-    lifted = lift_to_unitary(standard_gate("not"), 201).apply(psi)
+    lifted = lift_to_unitary(standard_gate("not"), dim).apply(psi)
     assert phase_distance(moved, lifted) <= 1e-9
 
 
-def test_reconstruct_overflow_is_one_line_error(tmp_path, capsys):
-    # prod |z| ~ 1e600 at d = 301 is past double precision: a loud, clean failure.
+def test_reconstruct_northern_ring_dim301(tmp_path):
+    # prod |z| ~ 1e600 at d = 301: monic factors (z - alpha) overflow, the
+    # stars' spinor factors keep every coefficient below C(n, mu).
     roots = ring_roots(301, 100.0, 301)
     path = tmp_path / "c.json"
     formats.save_doc(path, {"dim": 301, "roots": [{"re": z.real, "im": z.imag} for z in roots]})
     out = tmp_path / "s.json"
-    assert main(["reconstruct", "--constellation", str(path), "--out", str(out)]) == 1
+    assert main(["reconstruct", "--constellation", str(path), "--out", str(out)]) == 0
+    back = formats.state_from_doc(formats.load_doc(out)).as_vector()
+    assert phase_distance(back, dicke_state(roots, 301)) <= 1e-12
+
+
+@pytest.mark.parametrize("root", [{"re": None, "im": 0}, {"re": [1.0], "im": 0},
+                                  {"re": True, "im": 0}, {"re": "1", "im": 0},
+                                  {"re": 10 ** 400, "im": 0}])
+@pytest.mark.parametrize("command", ["reconstruct", "project", "render"])
+def test_malformed_root_is_one_line_error(tmp_path, capsys, command, root):
+    path = tmp_path / "c.json"
+    formats.save_doc(path, {"dim": 3, "roots": [{"re": 0.5, "im": 0}, root]})
+    out = tmp_path / "out"
+    assert main([command, "--constellation", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
 
 

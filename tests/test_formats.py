@@ -74,6 +74,13 @@ class TestConstellationDocs:
         with pytest.raises(ValueError):
             formats.root_from_doc({"re": 1.0})
 
+    def test_only_literal_true_is_infinity(self):
+        assert formats.root_from_doc({"inf": True}).is_infinite
+        assert formats.root_from_doc({"inf": False, "re": 2, "im": 0}).finite == 2
+        for flag in (1, "false"):
+            with pytest.raises(ValueError):
+                formats.root_from_doc({"inf": flag})
+
 
 class TestMapDocs:
     def test_round_trip(self):

@@ -20,8 +20,8 @@ from quditstars.majorana import (
     state_to_constellation,
     state_to_polynomial,
 )
-from quditstars.moebius import lift_to_unitary, transform_constellation
-from quditstars.sphere import INFINITY, ExtendedComplex, chordal_distance, to_sphere
+from quditstars.moebius import lift_to_unitary, standard_gate, transform_constellation
+from quditstars.sphere import INFINITY, ExtendedComplex, antipode, chordal_distance, to_sphere
 from quditstars.verify import oracle_roots, random_state, random_su2
 
 SQRT2 = math.sqrt(2.0)
@@ -196,7 +196,9 @@ def dicke_state(roots, dim):
     adding one to m others maps a_mu to v sqrt(mu/(m+1)) a_{mu-1}
     + u sqrt((m+1-mu)/(m+1)) a_mu, which is p(z) times (v z - u) up to sign.
     Every step is bounded, so no root finder or polynomial expansion is
-    involved and it is stable at any dimension.
+    involved and nothing overflows at any dimension.  Two antipodal clusters
+    off the poles are the exception to its accuracy: stars at +1 and -1
+    cancel, 4e-3 off at d = 101.
     """
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0
@@ -292,6 +294,56 @@ class TestLargeDim:
         moved = constellation_to_state(transform_constellation(m, state_to_constellation(psi)))
         lifted = lift_to_unitary(m, 301).apply(psi.as_vector())
         assert phase_distance(moved.as_vector(), lifted / np.linalg.norm(lifted)) <= 1e-9
+
+
+class TestWideRange:
+    """Stars anywhere in double range: no overflow, NaN or warning anywhere."""
+
+    @pytest.mark.parametrize("dim", [2, 101, 301])
+    def test_moduli_from_1e_minus_300_to_1e300(self, dim):
+        rng = np.random.default_rng(dim + 300)
+        n = dim - 1
+        inputs = [[complex(z) for z in 10.0 ** rng.uniform(-300, 300, n)
+                   * np.exp(2j * np.pi * rng.random(n))] for _ in range(3)]
+        inputs += [["inf"] * n, [0j] * n]
+        gates = [standard_gate("not"), standard_gate("h"), random_su2(rng)]
+        for k, roots in enumerate(inputs):
+            c = const(dim, *roots)
+            back = constellation_to_state(c).as_vector()
+            assert phase_distance(back, dicke_state(roots, dim)) <= 1e-12
+            for m in gates:
+                moved = transform_constellation(m, c)
+                back = constellation_to_state(moved).as_vector()
+                assert np.isfinite(back).all() and abs(np.linalg.norm(back) - 1.0) <= 1e-14
+                # h and a random rotation pile the random stars into two
+                # antipodal clusters, which test_two_antipodal_clusters covers.
+                if m is gates[0] or dim == 2 or k >= 3:
+                    want = dicke_state(["inf" if r.is_infinite else r.value
+                                        for r in moved.roots], dim)
+                    assert phase_distance(back, want) <= 1e-12
+            for p, q in zip(c.roots, c.roots[::-1]):
+                far = antipode(p)
+                assert np.allclose(to_sphere(far).as_tuple(), (-to_sphere(p)).as_tuple(),
+                                   rtol=0, atol=1e-15)
+                assert chordal_distance(p, far) == pytest.approx(2.0, abs=1e-15)
+                assert 0.0 <= chordal_distance(p, q) <= 2.0
+
+    @pytest.mark.xfail(strict=True, reason="the monomial-basis product cancels on two "
+                       "antipodal clusters off the poles (6e-8 at d = 101 after a "
+                       "random rotation), and is orthogonal to the lift here")
+    def test_two_antipodal_clusters(self):
+        # h moves the 100 stars at 0 and 100 at infinity of |100> to -1 and +1.
+        m, psi = standard_gate("h"), basis_state(201, 100)
+        moved = constellation_to_state(transform_constellation(m, state_to_constellation(psi)))
+        want = lift_to_unitary(m, 201).apply(psi.as_vector())
+        assert phase_distance(moved.as_vector(), want) <= 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_past_d_1000_overflow_is_one_line_error(self):
+        # |coefficient mu| reaches 0.999^550 C(1099, 549) ~ 1e329.
+        with pytest.raises(ValueError, match="overflows double precision") as err:
+            constellation_to_state(const(1100, *[0.999] * 1099))
+        assert "\n" not in str(err.value)
 
 
 class TestFidelity:
