@@ -21,7 +21,7 @@ from .errors import (
     ZeroInput,
     ZeroPolynomial,
 )
-from .gatescript import GateProgram, GateTerm, compile_program, compile_source, parse, render
+from .gatescript import GateProgram, GateTerm, compile_program, compile_source, parse
 from .majorana import (
     Constellation,
     MajoranaPolynomial,

@@ -10,20 +10,23 @@ Grammar (keywords case-insensitive, whitespace free-form)::
     number   := signed decimal (fraction/exponent allowed)
               | 'pi' | 'pi/2' | 'pi/4' | '-pi' | '-pi/2' | '-pi/4'
 
-Angles are radians.  ``su2`` takes (a_re, a_im, b_re, b_im); ``raw`` takes
-the four matrix entries as re/im pairs.  A program compiles to one Moebius
-map with the FIRST listed term acting first (circuit order), i.e.
+Angles are radians.  Numbers must be finite: a literal that overflows a
+double (``1e999``) is a syntax error at its line:column.  ``su2`` takes
+(a_re, a_im, b_re, b_im); ``raw`` takes the four matrix entries as re/im
+pairs.  A program compiles to one Moebius map with the FIRST listed term
+acting first (circuit order), i.e.
 compile("A; B") == compose(compile("B"), compile("A")).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field
 
 from .errors import ArityError, GateSyntaxError, NonUnitaryGate
-from .moebius import _ALIASES, _GATES, MoebiusMap, compose, is_special_unitary, standard_gate
+from .moebius import _ALIASES, _GATES, MoebiusMap, compose, is_special_unitary
 
 __all__ = [
     "GateTerm",
@@ -51,6 +54,8 @@ class GateTerm:
         arity = _GATES[self.kind][0]
         if len(args) != arity:
             raise ValueError(f"{self.kind} takes {arity} args, got {len(args)}")
+        if not all(map(math.isfinite, args)):
+            raise ValueError(f"{self.kind} args must be finite, got {args}")
         object.__setattr__(self, "args", args)
 
 
@@ -70,126 +75,113 @@ _TOKEN_RE = re.compile(r"""
   | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[();,/+-])
-""", re.VERBOSE)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'number' | 'name' | one of '();,/+-' | 'end'
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(source):
-        m = _TOKEN_RE.match(source, i)
-        if m is None:
-            raise GateSyntaxError(f"unexpected character {source[i]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup == "ws":
-            for ch in text:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-        else:
-            kind = text if m.lastgroup == "punct" else m.lastgroup
-            tokens.append(_Token(kind, text, line, col))
-            col += len(text)
-        i = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+  | (?P<end>\Z)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class _Parser:
-    """Recursive descent with single-token lookahead."""
+    """Recursive descent with single-token lookahead.
+
+    A token is a (kind, text, offset) tuple; kind is 'number', 'name', 'end'
+    or the punctuation character itself.  The whole source is tokenized
+    first, so a bad character is reported ahead of any grammar error.
+    """
 
     def __init__(self, source: str):
-        self.tokens = _tokenize(source)
+        # Offsets of the line breaks, after a -1 that stands before line 1.
+        self.breaks = [-1, *(m.start() for m in re.finditer("\n", source))]
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(source):
+            kind, text = m.lastgroup, m.group()
+            if kind == "bad":
+                raise GateSyntaxError(f"unexpected character {text!r}", *self.position(m.start()))
+            if kind != "ws":
+                self.tokens.append((text if kind == "punct" else kind, text, m.start()))
         self.index = 0
 
+    def position(self, offset: int) -> tuple[int, int]:
+        """1-based (line, column) of a source offset."""
+        line = bisect.bisect_right(self.breaks, offset)
+        return line, offset - self.breaks[line - 1]
+
     @property
-    def current(self) -> _Token:
+    def current(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
+    def advance(self) -> tuple[str, str, int]:
         self.index += 1
-        return tok
+        return self.tokens[self.index - 1]
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.current
-        shown = tok.text if tok.kind != "end" else "end of input"
-        raise GateSyntaxError(f"{message} (got {shown!r})", tok.line, tok.col)
+    def fail(self, message: str, tok: tuple[str, str, int] | None = None):
+        kind, text, offset = tok or self.current
+        shown = text if kind != "end" else "end of input"
+        raise GateSyntaxError(f"{message} (got {shown!r})", *self.position(offset))
 
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.current.kind != kind:
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        if self.current[0] != kind:
             self.fail(f"expected {what}")
         return self.advance()
 
     def program(self) -> GateProgram:
         terms = [self.term()]
-        while self.current.kind == ";":
+        while self.current[0] == ";":
             self.advance()
-            if self.current.kind == "end":
+            if self.current[0] == "end":
                 break
             terms.append(self.term())
-        if self.current.kind != "end":
+        if self.current[0] != "end":
             self.fail("expected ';' or end of program")
         return GateProgram(tuple(terms))
 
     def term(self) -> GateTerm:
         tok = self.current
-        if tok.kind != "name":
+        if tok[0] != "name":
             self.fail("expected a gate name")
         self.advance()
-        kind = _ALIASES.get(tok.text.lower(), tok.text.lower())
+        kind = _ALIASES.get(tok[1].lower(), tok[1].lower())
         if kind not in _GATES:
-            self.fail(f"unknown gate {tok.text!r}", tok)
+            self.fail(f"unknown gate {tok[1]!r}", tok)
+        pos = self.position(tok[2])
         arity = _GATES[kind][0]
         if arity == 0:
-            return GateTerm(kind, (), pos=(tok.line, tok.col))
+            return GateTerm(kind, (), pos=pos)
         self.expect("(", "'('")
         args = self.arguments()
         self.expect(")", "')'")
         if len(args) != arity:
-            raise ArityError(f"{kind} takes {arity} argument(s), got {len(args)}",
-                             tok.line, tok.col)
-        return GateTerm(kind, tuple(args), pos=(tok.line, tok.col))
+            raise ArityError(f"{kind} takes {arity} argument(s), got {len(args)}", *pos)
+        return GateTerm(kind, tuple(args), pos=pos)
 
     def arguments(self) -> list[float]:
-        if self.current.kind == ")":
+        if self.current[0] == ")":
             return []
         args = [self.number()]
-        while self.current.kind == ",":
+        while self.current[0] == ",":
             self.advance()
             args.append(self.number())
         return args
 
     def number(self) -> float:
         sign = 1.0
-        if self.current.kind in ("-", "+"):
-            sign = -1.0 if self.advance().kind == "-" else 1.0
+        if self.current[0] in ("-", "+"):
+            sign = -1.0 if self.advance()[0] == "-" else 1.0
         tok = self.current
-        if tok.kind == "number":
+        if tok[0] == "number":
             self.advance()
-            return sign * float(tok.text)
-        if tok.kind == "name" and tok.text.lower() == "pi":
+            value = float(tok[1])
+            if not math.isfinite(value):
+                self.fail("number out of range", tok)
+            return sign * value
+        if tok[0] == "name" and tok[1].lower() == "pi":
             self.advance()
-            if self.current.kind == "/":
-                self.advance()
-                denom = self.expect("number", "'2' or '4' after 'pi/'")
-                if denom.text == "2":
-                    return sign * math.pi / 2.0
-                if denom.text == "4":
-                    return sign * math.pi / 4.0
+            if self.current[0] != "/":
+                return sign * math.pi
+            self.advance()
+            denom = self.expect("number", "'2' or '4' after 'pi/'")
+            if denom[1] not in ("2", "4"):
                 self.fail("pi may only be divided by 2 or 4", denom)
-            return sign * math.pi
+            return sign * math.pi / float(denom[1])
         self.fail("expected a number")
 
 
@@ -221,7 +213,8 @@ def compile_program(program: GateProgram, allow_nonunitary: bool = False) -> Moe
     """
     result: MoebiusMap | None = None
     for i, term in enumerate(program.terms):
-        m = standard_gate(term.kind, *term.args)
+        # GateTerm has already resolved the name and checked the arity.
+        m = _GATES[term.kind][1](*term.args)
         if not allow_nonunitary and not is_special_unitary(m):
             raise NonUnitaryGate(
                 f"term {i + 1} ({_render_term(term)}) is not special-unitary; "

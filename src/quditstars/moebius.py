@@ -67,11 +67,17 @@ class MoebiusMap:
         for v in entries:
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"entries must be finite, got {v!r}")
+        # Maps are projective: scaling by the power of two at the largest part is
+        # exact, as in ``sphere._spinor``, and keeps |v| and ad - bc in range
+        # (capped at 2^1023, the largest power of two, for subnormal parts).
         a, b, c, d = entries
+        top = max(map(abs, (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)))
+        scale = math.ldexp(1.0, min(1023, -math.frexp(top)[1]))
+        a, b, c, d = entries = [complex(v.real * scale, v.imag * scale) for v in entries]
         det = a * d - b * c
-        scale = max(abs(v) for v in entries) ** 2
-        if abs(det) <= _SINGULAR_REL * scale or det == 0:
-            raise SingularMatrix(f"ad - bc = {det!r} is singular at the working precision")
+        if abs(det) <= _SINGULAR_REL * max(map(abs, entries)) ** 2 or det == 0:
+            raise SingularMatrix(f"ad - bc = {det!r} (entries times {scale!r}) "
+                                 f"is singular at the working precision")
         s = cmath.sqrt(det)
         object.__setattr__(self, "a", a / s)
         object.__setattr__(self, "b", b / s)

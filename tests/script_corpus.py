@@ -57,4 +57,7 @@ INVALID = [
     ("rotx(1))", GateSyntaxError, 1, 8),
     ("not;\nh;\nrotx(", GateSyntaxError, 3, 6),
     ("su2(1 2, 3, 4)", GateSyntaxError, 1, 7),
+    ("rotx(1e999)", GateSyntaxError, 1, 6),
+    ("not;\r\n\trotx(", GateSyntaxError, 2, 7),
+    ("h;\u00a0&", GateSyntaxError, 1, 4),
 ]

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quditstars
+import quditstars.render as quditstars_render
 import script_corpus
 from quditstars.errors import GateSyntaxError, NonUnitaryGate, ScriptError, SingularMatrix
 from quditstars.gatescript import (
@@ -56,9 +58,10 @@ def test_raw_term_is_the_expected_map():
 
 
 def test_positions_attached_to_terms():
-    program = parse("not ;\n  h")
-    assert program.terms[0].pos == (1, 1)
-    assert program.terms[1].pos == (2, 3)
+    for source in ("not ;\n  h", "not ;\r\n\t h"):
+        program = parse(source)
+        assert program.terms[0].pos == (1, 1)
+        assert program.terms[1].pos == (2, 3)
 
 
 def test_positions_do_not_affect_equality():
@@ -92,8 +95,10 @@ class TestCompile:
         assert projectively_equal(gate, make(2, 0, 0, 1))
 
     def test_singular_raw_rejected(self):
-        with pytest.raises(SingularMatrix):
-            compile_source("raw(1,0, 1,0, 1,0, 1,0)", allow_nonunitary=True)
+        for entry in ("1", "1e200", "1e-170"):
+            with pytest.raises(SingularMatrix):
+                compile_source(f"raw({entry},0, {entry},0, {entry},0, {entry},0)",
+                               allow_nonunitary=True)
 
     def test_su2_term(self):
         # arguments are (a_re, a_im, b_re, b_im)
@@ -121,6 +126,15 @@ class TestRender:
 
     def test_canonical_names(self):
         assert render(parse("rx(1.0); H")) == "rotx(1.0); hadamard"
+
+    def test_package_render_is_the_submodule(self):
+        assert quditstars.render is quditstars_render
+        assert quditstars.gatescript.render(parse("rx(1.0); H")) == "rotx(1.0); hadamard"
+
+    @pytest.mark.parametrize("arg", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_args_rejected(self, arg):
+        with pytest.raises(ValueError):
+            GateTerm("rotx", (arg,))
 
 
 class TestGateTable:

@@ -56,8 +56,13 @@ class TestConstruction:
         assert projectively_equal(RECIP, MoebiusMap(0, 1j, 1j, 0))
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularMatrix):
-            make(1, 1, 1, 1)
+        # ad - bc of (1e200, 1, 0, 1) is 1e-200 of the largest entry squared.
+        for entries in ((1, 1, 1, 1), (1e200, 1, 0, 1)):
+            with pytest.raises(SingularMatrix):
+                make(*entries)
+
+    def test_tiny_identity(self):
+        assert projectively_equal(make(1e-170, 0, 0, 1e-170), IDENT)
 
     def test_su2_identity(self):
         assert projectively_equal(from_su2(1, 0), IDENT)
