@@ -3,14 +3,15 @@
 All real numbers are emitted with 17 significant digits, which round-trips
 every double exactly, and the writer is deterministic: identical documents
 serialize to identical bytes, and zero is written "0", never "-0".  The
-standard library's ``json`` module is used for parsing; writing goes through
-a small canonical emitter so the digit count is under our control.
+standard library's ``json`` parses and writes every scalar but a real, which
+``dumps_canonical`` formats itself; it joins lists and objects with ", ".
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -47,41 +48,20 @@ def format_real(x: float) -> str:
     return format(x + 0.0, ".17g")  # -0.0 + 0.0 is 0.0
 
 
-def _emit(value, out: list[str]) -> None:
-    if isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format_real(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    elif value is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+_encode = json.JSONEncoder().encode
 
 
 def dumps_canonical(doc) -> str:
-    out: list[str] = []
-    _emit(doc, out)
-    return "".join(out)
+    if isinstance(doc, (float, np.floating)):
+        return format_real(doc)
+    if isinstance(doc, (list, tuple)):
+        return "[" + ", ".join([dumps_canonical(v) for v in doc]) + "]"
+    if isinstance(doc, dict):
+        return "{" + ", ".join([_encode(str(k)) + ": " + dumps_canonical(v)
+                                for k, v in doc.items()]) + "}"
+    if isinstance(doc, np.integer):
+        return _encode(doc.item())
+    return _encode(doc)  # str, int, bool and None; TypeError on anything else
 
 
 def save_doc(path, doc) -> None:
@@ -93,7 +73,7 @@ def load_doc(path):
 
 
 def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+    return [z.real, z.imag]
 
 
 def _complex_from(value, what: str) -> complex:
@@ -109,6 +89,17 @@ def _require(doc, key: str, what: str):
     return doc[key]
 
 
+def _dim_and_list(doc, what: str, key: str, offset: int, noun: str):
+    # The one reader rule: an integer ``dim`` and a list of dim - offset items.
+    dim = _require(doc, "dim", what)
+    items = _require(doc, key, what)
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError(f"{what} dim must be an integer, got {dim!r}")
+    if not isinstance(items, list) or len(items) != dim - offset:
+        raise ValueError(f"{what} needs exactly {dim - offset} {noun}")
+    return dim, items
+
+
 # -- states ---------------------------------------------------------------
 
 def state_to_doc(state: QuditState) -> dict:
@@ -117,12 +108,7 @@ def state_to_doc(state: QuditState) -> dict:
 
 
 def state_from_doc(doc) -> QuditState:
-    dim = _require(doc, "dim", "state")
-    amps = _require(doc, "amplitudes", "state")
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ValueError(f"state dim must be an integer, got {dim!r}")
-    if not isinstance(amps, list) or len(amps) != dim:
-        raise ValueError(f"state needs exactly {dim} amplitude pairs")
+    _, amps = _dim_and_list(doc, "state", "amplitudes", 0, "amplitude pairs")
     return QuditState(tuple(_complex_from(a, "amplitude") for a in amps))
 
 
@@ -131,7 +117,7 @@ def state_from_doc(doc) -> QuditState:
 def root_to_doc(root: ExtendedComplex) -> dict:
     if root.is_infinite:
         return {"inf": True}
-    return {"re": float(root.value.real), "im": float(root.value.imag)}
+    return {"re": root.value.real, "im": root.value.imag}
 
 
 def root_from_doc(doc) -> ExtendedComplex:
@@ -148,12 +134,7 @@ def constellation_to_doc(constellation: Constellation) -> dict:
 
 
 def constellation_from_doc(doc) -> Constellation:
-    dim = _require(doc, "dim", "constellation")
-    roots = _require(doc, "roots", "constellation")
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ValueError(f"constellation dim must be an integer, got {dim!r}")
-    if not isinstance(roots, list) or len(roots) != dim - 1:
-        raise ValueError(f"constellation needs exactly {dim - 1} roots")
+    dim, roots = _dim_and_list(doc, "constellation", "roots", 1, "roots")
     return Constellation(dim, tuple(root_from_doc(r) for r in roots))
 
 
@@ -171,22 +152,20 @@ def moebius_from_doc(doc) -> MoebiusMap:
 
 def unitary_to_doc(u: UnitaryMatrix) -> dict:
     return {"dim": u.dim,
-            "rows": [[_pair(v) for v in row] for row in u.matrix]}
+            "rows": [[_pair(v) for v in row] for row in u.matrix.tolist()]}
 
 
 def unitary_from_doc(doc) -> UnitaryMatrix:
-    dim = _require(doc, "dim", "unitary")
-    rows = _require(doc, "rows", "unitary")
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise ValueError(f"unitary needs exactly {dim} rows")
-    mat = [[_complex_from(v, "matrix entry") for v in row] for row in rows]
-    if any(len(row) != dim for row in mat):
+    dim, rows = _dim_and_list(doc, "unitary", "rows", 0, "rows")
+    mat = [[_complex_from(v, "matrix entry") for v in row] for row in rows
+           if isinstance(row, Iterable)]  # a scalar row drops out and fails the count
+    if len(mat) != dim or any(len(row) != dim for row in mat):
         raise ValueError(f"unitary rows must each have {dim} entries")
     return UnitaryMatrix(np.array(mat, dtype=complex))
 
 
 def rotation_to_doc(r: RotationMatrix) -> dict:
-    return {"rows": [[float(v) for v in row] for row in r.matrix]}
+    return {"rows": r.matrix.tolist()}
 
 
 # -- sphere points --------------------------------------------------------
@@ -197,4 +176,4 @@ def sphere_points_to_csv(points) -> str:
 
 
 def sphere_points_to_doc(points) -> dict:
-    return {"points": [[float(v) for v in p.as_tuple()] for p in points]}
+    return {"points": [list(p.as_tuple()) for p in points]}

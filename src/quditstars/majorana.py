@@ -201,10 +201,8 @@ def _effective_degree(coeffs: np.ndarray) -> int:
         raise ZeroPolynomial("all coefficients are zero")
     threshold = _LEADING_ZERO_REL * top
     deg = len(coeffs) - 1
-    while deg > 0 and mags[deg] <= threshold:
+    while deg > 0 and mags[deg] <= threshold:  # stops at or above the argmax
         deg -= 1
-    if mags[deg] <= threshold:
-        raise ZeroPolynomial("all coefficients are below the zero threshold")
     return deg
 
 

@@ -48,6 +48,16 @@ _UNITARY_FROBENIUS_TOL = 1e-9
 _ROTATION_TOL = 1e-10
 
 
+def _pow2_scale(*parts: float) -> float:
+    """The power of two that takes the largest |part| into [1/2, 1).
+
+    Scaling by it is exact, as in ``sphere._spinor``, so projective maps and
+    (a, b) pairs keep their moduli in range (capped at 2^1023, the largest
+    power of two, for subnormal parts).
+    """
+    return math.ldexp(1.0, min(1023, -math.frexp(max(map(abs, parts)))[1]))
+
+
 @dataclass(frozen=True)
 class MoebiusMap:
     """z -> (a z + b)/(c z + d), stored normalized to determinant 1.
@@ -67,12 +77,9 @@ class MoebiusMap:
         for v in entries:
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"entries must be finite, got {v!r}")
-        # Maps are projective: scaling by the power of two at the largest part is
-        # exact, as in ``sphere._spinor``, and keeps |v| and ad - bc in range
-        # (capped at 2^1023, the largest power of two, for subnormal parts).
+        # Maps are projective, so the exact rescale keeps |v| and ad - bc in range.
         a, b, c, d = entries
-        top = max(map(abs, (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)))
-        scale = math.ldexp(1.0, min(1023, -math.frexp(top)[1]))
+        scale = _pow2_scale(a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
         a, b, c, d = entries = [complex(v.real * scale, v.imag * scale) for v in entries]
         det = a * d - b * c
         if abs(det) <= _SINGULAR_REL * max(map(abs, entries)) ** 2 or det == 0:
@@ -104,6 +111,8 @@ def from_su2(a, b) -> MoebiusMap:
     pair works: two parameters pick out the whole rotation family.
     """
     a, b = complex(a), complex(b)
+    s = _pow2_scale(a.real, a.imag, b.real, b.imag)  # |a| may overflow unscaled
+    a, b = complex(a.real * s, a.imag * s), complex(b.real * s, b.imag * s)
     nrm = math.hypot(abs(a), abs(b))
     if nrm == 0:
         raise ZeroInput("from_su2 needs (a, b) != (0, 0)")

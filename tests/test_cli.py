@@ -69,6 +69,16 @@ def test_transform_rejects_nonunitary(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_transform_su2_with_huge_parameters(tmp_path):
+    state = write_state(tmp_path / "s.json", (1, 0, 0))
+    huge, unit = tmp_path / "huge.json", tmp_path / "unit.json"
+    assert main(["transform", "--state", state, "--program", "su2(1.7e308, 1.7e308, 0, 0)",
+                 "--out", str(huge)]) == 0
+    assert main(["transform", "--state", state, "--program", "su2(1, 1, 0, 0)",
+                 "--out", str(unit)]) == 0
+    assert huge.read_bytes() == unit.read_bytes()
+
+
 def test_transform_allows_nonunitary_with_flag(tmp_path):
     state = write_state(tmp_path / "s.json", (1, 1))
     out = tmp_path / "t.json"

@@ -34,6 +34,24 @@ def test_dumps_canonical_scalars():
     assert formats.dumps_canonical(doc) == '{"i": 3, "f": 0.5, "s": "x", "b": true, "n": null, "l": [1, 2.5]}'
 
 
+def test_dumps_canonical_pinned_bytes():
+    doc = {"n": np.int64(-7), "f32": np.float32(0.1), "t": (1, (2.5, [-0.0])),
+           "s": 'st\u00e4rs "q"', "deep": [[[{"z": -0.0}]]], "tiny": 5e-324,
+           "max": 1.7976931348623157e308, "flags": [True, False, None]}
+    assert formats.dumps_canonical(doc) == (
+        '{"n": -7, "f32": 0.10000000149011612, "t": [1, [2.5, [0]]], '
+        '"s": "st\\u00e4rs \\"q\\"", "deep": [[[{"z": 0}]]], "tiny": 4.9406564584124654e-324, '
+        '"max": 1.7976931348623157e+308, "flags": [true, false, null]}')
+
+
+def test_dumps_canonical_rejects_nan_and_unknown_types():
+    with pytest.raises(ValueError):
+        formats.dumps_canonical({"a": [1.0, [float("nan")]]})
+    for value in ({1.0}, 1 + 2j):
+        with pytest.raises(TypeError):
+            formats.dumps_canonical({"a": [value]})
+
+
 def test_dumps_parses_back():
     doc = {"dim": 2, "amplitudes": [[1.0, 0.0], [0.25, -0.125]]}
     assert json.loads(formats.dumps_canonical(doc)) == doc
@@ -90,9 +108,17 @@ class TestMapDocs:
         np.testing.assert_allclose(m2.matrix, m.matrix, atol=1e-15)
 
     def test_unitary_round_trip(self):
-        u = lift_to_unitary(standard_gate("hadamard"), 4)
-        u2 = formats.unitary_from_doc(formats.unitary_to_doc(u))
-        np.testing.assert_array_equal(u.matrix, u2.matrix)
+        for dim in (4, 101):
+            u = lift_to_unitary(standard_gate("hadamard"), dim)
+            text = formats.dumps_canonical(formats.unitary_to_doc(u))
+            u2 = formats.unitary_from_doc(json.loads(text))
+            np.testing.assert_array_equal(u.matrix, u2.matrix)
+
+    @pytest.mark.parametrize("doc", [{"dim": True, "rows": [[[1, 0]]]},
+                                     {"dim": 2, "rows": [5, 6]}])
+    def test_unitary_rejects_bool_dim_and_scalar_rows(self, doc):
+        with pytest.raises(ValueError):
+            formats.unitary_from_doc(doc)
 
     def test_rotation_doc_shape(self):
         doc = formats.rotation_to_doc(to_rotation(standard_gate("not")))

@@ -78,6 +78,11 @@ class TestConstruction:
         with pytest.raises(ZeroInput):
             from_su2(0, 0)
 
+    def test_su2_huge_parts(self):
+        # |a| overflows a double; the exact power-of-two rescale comes first.
+        assert from_su2(1.7e308 + 1.7e308j, 0) == from_su2(1 + 1j, 0)
+        assert from_su2(-1.7e308, 1.7e308j) == from_su2(-1, 1j)
+
 
 class TestApplyPoint:
     def test_reciprocal_at_zero(self):
