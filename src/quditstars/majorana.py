@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, WrongDimension, ZeroPolynomial
-from .sphere import (INFINITY, ExtendedComplex, SpherePoint, _spinor, as_point, chordal_distance,
-                     to_sphere)
+from .sphere import INFINITY, ExtendedComplex, SpherePoint, _spinor, as_point, to_sphere
 
 __all__ = [
     "QuditState",
@@ -51,7 +50,7 @@ def _validated_amplitudes(values, what: str) -> tuple[complex, ...]:
     for a in amps:
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise ValueError(f"{what} entries must be finite, got {a!r}")
-    if max(abs(a) for a in amps) == 0.0:
+    if not any(amps):  # exact, where a modulus could overflow
         raise ValueError(f"{what} must not be all zero")
     return amps
 
@@ -95,7 +94,7 @@ class MajoranaPolynomial:
 
     def __post_init__(self):
         coeffs = tuple(complex(c) for c in self.coefficients)
-        if coeffs and max(abs(c) for c in coeffs) == 0.0:
+        if coeffs and not any(coeffs):
             raise ZeroPolynomial("all coefficients are zero")
         object.__setattr__(self, "coefficients",
                            _validated_amplitudes(coeffs, "MajoranaPolynomial"))
@@ -211,7 +210,7 @@ def _sort_key(root: ExtendedComplex):
     if root.is_infinite:
         return (math.inf, 0.0, 0.0)
     z = root.value
-    return (abs(z), z.real, z.imag)
+    return (abs(z * 0.5), z.real, z.imag)  # |z| may overflow, |z/2| cannot
 
 
 def _finite_roots(coeffs: np.ndarray) -> list[complex]:
@@ -234,6 +233,10 @@ def find_roots(poly: MajoranaPolynomial) -> Constellation:
     infinities last; the meaning is a multiset.
     """
     coeffs = poly.as_vector()
+    # Moduli and quotients of coefficients overflow only from parts of 2^1023
+    # up; halving those is exact on every part within 2^-2000 of the largest.
+    if np.abs(coeffs.view(float)).max() >= 2.0 ** 1023:
+        coeffs = coeffs * 0.5
     deg = _effective_degree(coeffs)
     n_infinite = (poly.dim - 1) - deg
     finite = _finite_roots(coeffs[: deg + 1]) if deg > 0 else []
@@ -327,22 +330,90 @@ def bloch_vector(state: QuditState) -> SpherePoint:
                        (abs(a0) ** 2 - abs(a1) ** 2) / n2)
 
 
+def _spinor_arrays(points):
+    """The points' spinors (u, v) as two arrays, and hypot(v, |u|) per point."""
+    spinors = [_spinor(z) for z in points]
+    return (np.array([u for u, _ in spinors], dtype=complex), np.array([v for _, v in spinors]),
+            np.array([math.hypot(v, abs(u)) for u, v in spinors]))
+
+
+def _chordal_matrix(p, q) -> np.ndarray:
+    """chordal_distance(p[i], q[j]) for every pair, bitwise.
+
+    The same operations on the same spinors: a t - b s by separately rounded
+    real products (numpy's complex multiply rounds otherwise), its modulus
+    by hypot, then the two per-point hypots in ``chordal_distance``'s order.
+    """
+    (a, s, h1), (b, t, h2) = _spinor_arrays(p), _spinor_arrays(q)
+    re = np.multiply.outer(a.real, t) - np.multiply.outer(s, b.real)
+    im = np.multiply.outer(a.imag, t) - np.multiply.outer(s, b.imag)
+    return 2.0 * (np.hypot(re, im) / h1[:, None]) / h2
+
+
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """The column of each row in a minimum-sum perfect matching of a square
+    cost matrix, by shortest augmenting paths (Jonker & Volgenant 1987, as
+    restated by Crouse 2016): optimal, not approximate.
+
+    Each row first takes its nearest column unless an earlier row took it;
+    the row minima and zero column duals are feasible and tight on those
+    pairs, so the start is optimal for the rows it places.  Every row left
+    then gets a Dijkstra search over reduced costs to a free column, one
+    numpy step per path edge, and the path is flipped along its edges.
+    """
+    n = len(cost)
+    u, v = cost.min(axis=1), np.zeros(n)
+    nearest = cost.argmin(axis=1)
+    cols, rows = np.unique(nearest, return_index=True)
+    col4row, row4col = np.full(n, -1), np.full(n, -1)
+    col4row[rows], row4col[cols] = cols, rows
+    for start in np.flatnonzero(col4row < 0):
+        dist, path = np.full(n, np.inf), np.empty(n, dtype=int)
+        scanned = np.zeros(n, dtype=bool)
+        i, low = start, 0.0
+        while True:
+            reduced = low + cost[i] - u[i] - v
+            closer = (reduced < dist) & ~scanned
+            dist[closer], path[closer] = reduced[closer], i
+            # The nearest unscanned column; on a tie, a free one ends the path.
+            open_dist = np.where(scanned, np.inf, dist)
+            low = open_dist.min()
+            ties = np.flatnonzero(open_dist == low)
+            free = ties[row4col[ties] < 0]
+            j = free[0] if len(free) else ties[0]
+            scanned[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        # Duals stay feasible and tight on the matched pairs and the path.
+        done = np.flatnonzero(scanned)
+        v[done] -= low - dist[done]
+        u[start] += low
+        inner = done[done != j]
+        u[row4col[inner]] += low - dist[inner]
+        while True:  # flip the path back from the free column j to the start
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
+
+
 def constellation_pairing(c1: Constellation, c2: Constellation):
     """Minimum-cost perfect matching between the two root multisets.
 
     Returns (pairs, worst) where pairs is a list of (index_in_c1,
-    index_in_c2, chordal_distance) and worst is the largest matched
-    distance.  Optimal assignment, not greedy: near multiple roots a greedy
-    pairing can cross the cluster and overstate the distance.
+    index_in_c2, chordal_distance) in c1's order and worst is the largest
+    matched distance.  Optimal assignment, not greedy: near multiple roots a
+    greedy pairing can cross the cluster and overstate the distance.  The
+    method is ``_assignment``'s shortest augmenting paths on the matrix of
+    chordal distances.
     """
-    # Deferred: scipy.optimize takes longer to import than a CLI call needs.
-    from scipy.optimize import linear_sum_assignment
-
     if c1.dim != c2.dim:
         raise DimensionMismatch(f"dims {c1.dim} and {c2.dim} differ")
-    cost = np.array([[chordal_distance(a, b) for b in c2.roots] for a in c1.roots])
-    rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(i), int(j), float(cost[i, j])) for i, j in zip(rows, cols)]
+    cost = _chordal_matrix(c1.roots, c2.roots)
+    pairs = [(i, int(j), float(cost[i, j])) for i, j in enumerate(_assignment(cost))]
     worst = max(d for _, _, d in pairs)
     return pairs, worst
 

@@ -125,14 +125,15 @@ def _spinor(z) -> tuple[complex, float]:
     """(z, 1) times 2^-max(0, exponent of |z|), and (1, 0) at infinity.
 
     The power of two is exact, so formulas on (u, v) round as on (z, 1), and
-    max(|u|, |v|) in [1/2, 1] keeps their products from overflowing."""
+    max(|u|, |v|) in [1/2, 1] keeps their products from overflowing.  |z| is
+    read as 2|z/2|, which cannot overflow while both parts are finite."""
     z = as_point(z).value
     if z is None:
         return 1.0, 0.0
-    r = abs(z)
-    if r < 1.0:
+    r = abs(z * 0.5)  # halving is exact for every part that can change |z|
+    if r < 0.5:
         return z, 1.0
-    s = math.ldexp(1.0, -math.frexp(r)[1])
+    s = math.ldexp(1.0, -1 - math.frexp(r)[1])
     return z * s, s
 
 

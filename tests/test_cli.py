@@ -10,6 +10,7 @@ from quditstars import formats
 from quditstars.cli import main
 from quditstars.majorana import QuditState, projective_fidelity
 from quditstars.moebius import lift_to_unitary, standard_gate
+from quditstars.sphere import to_sphere
 from test_majorana import dicke_state, phase_distance, ring_roots
 
 
@@ -168,6 +169,74 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_verify_runs_with_scipy_blocked(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = str(tmp_path / "report.json")
+    code = f"""
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from quditstars import cli
+from quditstars.majorana import basis_state, constellation_pairing, state_to_constellation
+code = cli.main(["verify", "--dims", "2..5", "--trials", "2", "--seed", "1", "--out", {out!r}])
+c = state_to_constellation(basis_state(4, 1))
+assert constellation_pairing(c, c)[1] == 0.0
+assert [k for k in sys.modules if k.split(".")[0] == "scipy"] == ["scipy"]
+assert sys.modules["scipy"] is None
+sys.exit(code)
+"""
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "all properties passed" in run.stdout
+
+
+# Both parts are finite, but |1.7e308 (1 + i)| overflows the double range.
+HUGE = 1.7e308
+HUGE_STATE = '{"dim": 2, "amplitudes": [[1.7e308, 1.7e308], [1, 0]]}'
+HUGE_ROOT = '{"dim": 2, "roots": [{"re": 1.7e308, "im": 1.7e308}]}'
+# The star z = HUGE (1 + i) on the sphere: (2 Re z, -2 Im z, |z|^2 - 1) / (|z|^2 + 1).
+HUGE_POINT = np.array([1.0 / HUGE, -1.0 / HUGE, 1.0])
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
+def test_roots_of_huge_amplitude(tmp_path, capsys):
+    state, out = tmp_path / "s.json", tmp_path / "c.json"
+    state.write_text(HUGE_STATE)
+    run_cli(capsys, "roots", "--state", str(state), "--out", str(out))
+    (root,) = formats.constellation_from_doc(formats.load_doc(out)).roots
+    assert np.linalg.norm(np.array(to_sphere(root).as_tuple()) - HUGE_POINT) <= 1e-12
+
+
+def test_reconstruct_huge_root(tmp_path, capsys):
+    roots, out = tmp_path / "c.json", tmp_path / "s.json"
+    roots.write_text(HUGE_ROOT)
+    run_cli(capsys, "reconstruct", "--constellation", str(roots), "--out", str(out))
+    back = formats.state_from_doc(formats.load_doc(out)).as_vector()
+    # (z, 1) / |z| with its first amplitude made real positive.
+    assert phase_distance(back, [1.0, (1 - 1j) * (0.5 / HUGE)]) <= 1e-12
+
+
+def test_project_huge_root(tmp_path, capsys):
+    roots, out = tmp_path / "c.json", tmp_path / "p.csv"
+    roots.write_text(HUGE_ROOT)
+    run_cli(capsys, "project", "--constellation", str(roots), "--out", str(out))
+    point = np.array([float(v) for v in out.read_text().split(",")])
+    assert np.linalg.norm(point - HUGE_POINT) <= 1e-12
+
+
+def test_render_huge_amplitude(tmp_path, capsys):
+    state, out = tmp_path / "s.json", tmp_path / "s.svg"
+    state.write_text(HUGE_STATE)
+    run_cli(capsys, "render", "--state", str(state), "--out", str(out))
+    # The star is at the north pole to 1e-308: the centre of the +z view.
+    assert '<circle cx="256.00" cy="256.00" r="6.00" fill="black"' in out.read_text()
 
 
 def test_rotation_output(tmp_path):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from quditstars.errors import DimensionMismatch, WrongDimension, ZeroPolynomial
 from quditstars.majorana import (
     Constellation,
     MajoranaPolynomial,
     QuditState,
+    _assignment,
+    _chordal_matrix,
     basis_state,
     bloch_vector,
     constellation_match,
@@ -422,3 +425,45 @@ class TestMatching:
         right = const(3, 1.0 + 1e-9, 1.0)
         _, worst = constellation_pairing(left, right)
         assert worst == 0.0
+
+
+class TestAssignment:
+    """``_assignment`` and ``_chordal_matrix``, behind ``constellation_pairing``."""
+
+    @staticmethod
+    def cost(rng, n, kind):
+        if kind == 0:
+            return rng.random((n, n))
+        if kind == 1:  # small integers: ties everywhere
+            return rng.integers(0, 4, (n, n)).astype(float)
+        # A constellation against a shuffled copy moved by about 1e-9, with
+        # some stars doubled: what verify compares.
+        stars = uniform_roots(rng, n)
+        for k in rng.integers(0, n, n // 4):
+            stars[k] = stars[rng.integers(0, n)]
+        moved = [z * (1 + 1e-9 * complex(*rng.standard_normal(2))) for z in stars]
+        return _chordal_matrix(stars, [moved[k] for k in rng.permutation(n)])
+
+    def test_optimal_sum_matches_scipy(self):
+        rng = np.random.default_rng(2016)
+        for k in range(2400):
+            n, kind = 1 + k % 40, (k // 40) % 3
+            cost = self.cost(rng, n, kind)
+            cols = _assignment(cost)
+            assert sorted(cols) == list(range(n)), (k, cols)
+            got = cost[np.arange(n), cols].sum()
+            rows, want_cols = linear_sum_assignment(cost)
+            want = cost[rows, want_cols].sum()
+            assert abs(got - want) <= 1e-12 * want, (k, got, want)
+
+    def test_chordal_matrix_is_chordal_distance_bitwise(self):
+        rng = np.random.default_rng(300)
+        wide = list(10.0 ** rng.uniform(-308, 308, 40) * np.exp(2j * np.pi * rng.random(40)))
+        edges = [0j, "inf", 1e300, -1e-300j, 1.7e308 + 1.7e308j, 5e-324, 1.0, 1j,
+                 complex(2.0 ** 1023, 2.0 ** 1023), complex(1e-300, 1e300)]
+        values = edges + wide + edges + wide[:5]  # the edges and five more doubled
+        stars = list(const(len(values) + 1, *values).roots)
+        other = [stars[k] for k in rng.permutation(len(stars))]
+        for p, q in [(stars, other), (stars, stars), (stars[:1], other[:1])]:
+            want = np.array([[chordal_distance(a, b) for b in q] for a in p])
+            np.testing.assert_array_equal(_chordal_matrix(p, q), want)
