@@ -14,7 +14,8 @@ from pathlib import Path
 from . import formats
 from .errors import QuditStarsError
 from .gatescript import compile_source
-from .majorana import constellation_to_state, find_roots, state_to_constellation, state_to_polynomial
+from .majorana import (_unit_scaled, constellation_to_state, find_roots, state_to_constellation,
+                       state_to_polynomial)
 from .moebius import lift_to_unitary, to_rotation, transform_constellation
 from .render import RenderSpec, render_constellation_svg
 from .verify import SuiteConfig, run_suite
@@ -97,7 +98,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _cmd_roots(args) -> int:
-    state = formats.state_from_doc(formats.load_doc(args.state))
+    state, _ = _unit_scaled(formats.state_from_doc(formats.load_doc(args.state)))
     constellation = find_roots(state_to_polynomial(state))
     formats.save_doc(args.out, formats.constellation_to_doc(constellation))
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, WrongDimension, ZeroPolynomial
-from .sphere import INFINITY, ExtendedComplex, SpherePoint, _spinor, as_point, to_sphere
+from .sphere import INFINITY, ExtendedComplex, SpherePoint, _pow2, _spinor, as_point, to_sphere
 
 __all__ = [
     "QuditState",
@@ -59,9 +59,9 @@ def _validated_amplitudes(values, what: str) -> tuple[complex, ...]:
 class QuditState:
     """d complex amplitudes a_0..a_{d-1}; not necessarily normalized.
 
-    The representation downstream is projective, so any nonzero overall
-    scale is admissible; ``constellation_to_state`` always returns the
-    canonical unit-norm member of the ray.
+    Projective downstream, so any nonzero finite scale is admissible: functions
+    take the state at unit scale (``_unit_scaled``); ``norm`` alone is inf, when
+    it exceeds ~1.8e308.  ``constellation_to_state`` returns the unit-norm member.
     """
 
     amplitudes: tuple[complex, ...]
@@ -76,14 +76,22 @@ class QuditState:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes))
+        unit, s = _unit_scaled(self)
+        return math.sqrt(sum(abs(a) ** 2 for a in unit.amplitudes)) / s
 
     def as_vector(self) -> np.ndarray:
         return np.array(self.amplitudes, dtype=complex)
 
     def normalized(self) -> "QuditState":
-        n = self.norm
-        return QuditState(tuple(a / n for a in self.amplitudes))
+        unit, _ = _unit_scaled(self)
+        n = unit.norm
+        return QuditState(tuple(a / n for a in unit.amplitudes))
+
+
+def _unit_scaled(state: QuditState) -> tuple[QuditState, float]:
+    """(s state, s), s = ``_pow2`` of its largest real or imaginary part."""
+    s = _pow2(max(abs(p) for a in state.amplitudes for p in (a.real, a.imag)))
+    return QuditState(tuple(complex(a.real * s, a.imag * s) for a in state.amplitudes)), s
 
 
 @dataclass(frozen=True)
@@ -232,11 +240,9 @@ def find_roots(poly: MajoranaPolynomial) -> Constellation:
     deterministic, south pole to north pole: finite roots by (|z|, re, im),
     infinities last; the meaning is a multiset.
     """
-    coeffs = poly.as_vector()
-    # Moduli and quotients of coefficients overflow only from parts of 2^1023
-    # up; halving those is exact on every part within 2^-2000 of the largest.
-    if np.abs(coeffs.view(float)).max() >= 2.0 ** 1023:
-        coeffs = coeffs * 0.5
+    # Roots ignore scale; at unit scale no modulus or quotient overflows.
+    parts = poly.as_vector().view(float)
+    coeffs = (parts * _pow2(np.abs(parts).max())).view(complex)
     deg = _effective_degree(coeffs)
     n_infinite = (poly.dim - 1) - deg
     finite = _finite_roots(coeffs[: deg + 1]) if deg > 0 else []
@@ -270,7 +276,7 @@ def expand_roots(constellation: Constellation, scale: complex) -> MajoranaPolyno
 
 
 def state_to_constellation(state: QuditState) -> Constellation:
-    return find_roots(state_to_polynomial(state))
+    return find_roots(state_to_polynomial(_unit_scaled(state)[0]))
 
 
 def _unit_phase(v: np.ndarray) -> complex:
@@ -298,9 +304,8 @@ def constellation_to_state(constellation: Constellation) -> QuditState:
                          "overflows double precision")
     w = _signed_weights(constellation.dim - 1)
     amps = coeffs * np.sign(w) / np.abs(w)
-    # Scale by the power of two at the largest modulus first: exact, and the
-    # squares inside the norm can no longer underflow.
-    amps = amps / 2.0 ** math.frexp(np.abs(amps).max())[1]
+    # An exact power-of-two division first: no square in the norm underflows.
+    amps = amps / (1.0 / _pow2(np.abs(amps).max()))
     amps = amps / np.linalg.norm(amps)
     return QuditState(tuple(amps * _unit_phase(amps)))
 
@@ -309,7 +314,7 @@ def projective_fidelity(psi: QuditState, chi: QuditState) -> float:
     """|<psi|chi>| / (|psi| |chi|): 1 iff the states agree up to scale."""
     if psi.dim != chi.dim:
         raise DimensionMismatch(f"dims {psi.dim} and {chi.dim} differ")
-    a, b = psi.as_vector(), chi.as_vector()
+    a, b = _unit_scaled(psi)[0].as_vector(), _unit_scaled(chi)[0].as_vector()
     return abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
 
 
@@ -323,7 +328,7 @@ def bloch_vector(state: QuditState) -> SpherePoint:
     """
     if state.dim != 2:
         raise WrongDimension(f"bloch_vector needs dim 2, got {state.dim}")
-    a0, a1 = state.amplitudes
+    a0, a1 = _unit_scaled(state)[0].amplitudes
     n2 = abs(a0) ** 2 + abs(a1) ** 2
     cross = a0.conjugate() * a1
     return SpherePoint(2.0 * cross.real / n2, 2.0 * cross.imag / n2,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotUnitary, SingularMatrix, UnknownGate, ZeroInput
 from .majorana import Constellation, _unit_phase
-from .sphere import ExtendedComplex, SpherePoint, _point, _spinor
+from .sphere import ExtendedComplex, SpherePoint, _point, _pow2, _spinor
 
 __all__ = [
     "MoebiusMap",
@@ -48,16 +48,6 @@ _UNITARY_FROBENIUS_TOL = 1e-9
 _ROTATION_TOL = 1e-10
 
 
-def _pow2_scale(*parts: float) -> float:
-    """The power of two that takes the largest |part| into [1/2, 1).
-
-    Scaling by it is exact, as in ``sphere._spinor``, so projective maps and
-    (a, b) pairs keep their moduli in range (capped at 2^1023, the largest
-    power of two, for subnormal parts).
-    """
-    return math.ldexp(1.0, min(1023, -math.frexp(max(map(abs, parts)))[1]))
-
-
 @dataclass(frozen=True)
 class MoebiusMap:
     """z -> (a z + b)/(c z + d), stored normalized to determinant 1.
@@ -78,8 +68,7 @@ class MoebiusMap:
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ValueError(f"entries must be finite, got {v!r}")
         # Maps are projective, so the exact rescale keeps |v| and ad - bc in range.
-        a, b, c, d = entries
-        scale = _pow2_scale(a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+        scale = _pow2(max(abs(p) for v in entries for p in (v.real, v.imag)))
         a, b, c, d = entries = [complex(v.real * scale, v.imag * scale) for v in entries]
         det = a * d - b * c
         if abs(det) <= _SINGULAR_REL * max(map(abs, entries)) ** 2 or det == 0:
@@ -111,7 +100,7 @@ def from_su2(a, b) -> MoebiusMap:
     pair works: two parameters pick out the whole rotation family.
     """
     a, b = complex(a), complex(b)
-    s = _pow2_scale(a.real, a.imag, b.real, b.imag)  # |a| may overflow unscaled
+    s = _pow2(max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag)))  # |a| may overflow
     a, b = complex(a.real * s, a.imag * s), complex(b.real * s, b.imag * s)
     nrm = math.hypot(abs(a), abs(b))
     if nrm == 0:

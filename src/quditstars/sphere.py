@@ -10,9 +10,9 @@ and the tests pinning that correspondence).  The chordal metric below is the
 Euclidean distance between sphere images and is the uniform tolerance metric
 for everything in C u {inf}.
 
-``_spinor`` is the one place that handles infinity and large moduli: the
-point functions here, Moebius transport and reconstruction all compute on
-its spinors (u, v), z = u/v, with no branches of their own.
+``_pow2`` is the one (exact) scale rule for points, maps and amplitude vectors,
+and ``_spinor`` the one place that handles infinity: the point functions here,
+Moebius transport and reconstruction compute on its spinors (u, v), z = u/v.
 """
 
 from __future__ import annotations
@@ -121,19 +121,23 @@ class SpherePoint:
         return SpherePoint(-self.x, -self.y, -self.z)
 
 
-def _spinor(z) -> tuple[complex, float]:
-    """(z, 1) times 2^-max(0, exponent of |z|), and (1, 0) at infinity.
+def _pow2(x: float) -> float:
+    """The power of two that takes x > 0 into [1/2, 1), capped at 2^1023; 1 at 0."""
+    return math.ldexp(1.0, min(1023, -math.frexp(x)[1]))
 
-    The power of two is exact, so formulas on (u, v) round as on (z, 1), and
-    max(|u|, |v|) in [1/2, 1] keeps their products from overflowing.  |z| is
-    read as 2|z/2|, which cannot overflow while both parts are finite."""
+
+def _spinor(z) -> tuple[complex, float]:
+    """(z, 1) times ``_pow2(|z|)`` where |z| >= 1, and (1, 0) at infinity.
+
+    Formulas on (u, v) round as on (z, 1), and max(|u|, |v|) in [1/2, 1] keeps
+    their products in range; |z| is read as 2|z/2|, which cannot overflow."""
     z = as_point(z).value
     if z is None:
         return 1.0, 0.0
     r = abs(z * 0.5)  # halving is exact for every part that can change |z|
     if r < 0.5:
         return z, 1.0
-    s = math.ldexp(1.0, -1 - math.frexp(r)[1])
+    s = 0.5 * _pow2(r)
     return z * s, s
 
 

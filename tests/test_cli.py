@@ -8,9 +8,10 @@ import pytest
 
 from quditstars import formats
 from quditstars.cli import main
-from quditstars.majorana import QuditState, projective_fidelity
+from quditstars.majorana import (Constellation, QuditState, constellation_match,
+                                 projective_fidelity)
 from quditstars.moebius import lift_to_unitary, standard_gate
-from quditstars.sphere import to_sphere
+from quditstars.sphere import INFINITY, to_sphere
 from test_majorana import dicke_state, phase_distance, ring_roots
 
 
@@ -237,6 +238,39 @@ def test_render_huge_amplitude(tmp_path, capsys):
     run_cli(capsys, "render", "--state", str(state), "--out", str(out))
     # The star is at the north pole to 1e-308: the centre of the +z view.
     assert '<circle cx="256.00" cy="256.00" r="6.00" fill="black"' in out.read_text()
+
+
+# At d = 3 the polynomial coefficient sqrt(2) 1.7e308 of the middle level
+# overflows; the stars, near 1/(sqrt(2) 1.7e308) and past the double range,
+# do not.
+HUGE_MIDDLE_STATE = '{"dim": 3, "amplitudes": [[1, 0], [1.7e308, 0], [1, 0]]}'
+
+
+def test_roots_of_huge_middle_amplitude(tmp_path, capsys):
+    state, out = tmp_path / "s.json", tmp_path / "c.json"
+    state.write_text(HUGE_MIDDLE_STATE)
+    run_cli(capsys, "roots", "--state", str(state), "--out", str(out))
+    found = formats.constellation_from_doc(formats.load_doc(out))
+    exact = Constellation(3, (0.5 ** 0.5 / HUGE, INFINITY))
+    assert constellation_match(found, exact, 1e-12)
+
+
+def test_transform_huge_middle_amplitude(tmp_path, capsys):
+    state, out = tmp_path / "s.json", tmp_path / "t.json"
+    state.write_text(HUGE_MIDDLE_STATE)
+    run_cli(capsys, "transform", "--state", str(state), "--program", "h", "--out", str(out))
+    back = formats.state_from_doc(formats.load_doc(out)).as_vector()
+    # h moves the stars to within 1e-308 of -1 and +1.
+    assert phase_distance(back, dicke_state([-1.0, 1.0], 3)) <= 1e-12
+
+
+def test_render_huge_middle_amplitude(tmp_path, capsys):
+    state, poles, out, want = (tmp_path / n for n in ("s.json", "c.json", "s.svg", "c.svg"))
+    state.write_text(HUGE_MIDDLE_STATE)
+    poles.write_text('{"dim": 3, "roots": [{"re": 0, "im": 0}, {"inf": true}]}')
+    run_cli(capsys, "render", "--state", str(state), "--out", str(out))
+    run_cli(capsys, "render", "--constellation", str(poles), "--out", str(want))
+    assert out.read_text() == want.read_text()
 
 
 def test_rotation_output(tmp_path):

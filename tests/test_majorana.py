@@ -36,6 +36,22 @@ def const(dim, *roots):
         INFINITY if r == "inf" else ExtendedComplex(complex(r)) for r in roots))
 
 
+def bits(values) -> list:
+    """float.hex of the parts of each value, None for the point at infinity:
+    equal lists are bitwise-equal results, signs of zero included."""
+    out = []
+    for v in values:
+        v = v.value if isinstance(v, ExtendedComplex) else complex(v)
+        out.append(None if v is None else (v.real.hex(), v.imag.hex()))
+    return out
+
+
+def times_pow2(state, k):
+    """The state times 2^k, exactly while every part stays normal."""
+    return QuditState(tuple(complex(math.ldexp(a.real, k), math.ldexp(a.imag, k))
+                            for a in state.amplitudes))
+
+
 class TestTypes:
     def test_state_rejects_all_zero(self):
         with pytest.raises(ValueError):
@@ -178,6 +194,29 @@ class TestStateConstellation:
             scaled = QuditState(tuple(np.array(psi.amplitudes) * (2.5 - 1.25j)))
             assert constellation_match(state_to_constellation(psi),
                                        state_to_constellation(scaled), 1e-9)
+        # Every function takes a state at unit scale first, so a power of two
+        # that keeps all parts (and polynomial coefficients) normal changes no bit.
+        for dim in (2, 3, 9, 33):
+            psi, chi = random_state(rng, dim), random_state(rng, dim)
+            for k in (-1000, -1, 3, 1000):
+                scaled = times_pow2(psi, k)
+                assert np.abs(scaled.as_vector().view(float)).min() > 2.0 ** -1022
+                for f in (lambda s: find_roots(state_to_polynomial(s)).roots,
+                          lambda s: state_to_constellation(s).roots,
+                          lambda s: s.normalized().amplitudes,
+                          lambda s: [projective_fidelity(s, chi)],
+                          lambda s: bloch_vector(s).as_tuple() if dim == 2 else []):
+                    assert bits(f(scaled)) == bits(f(psi))
+                assert scaled.norm == math.ldexp(psi.norm, k)
+        # Squares of these parts leave the double range; the results do not.
+        assert QuditState((1e-200, 0)).normalized().amplitudes == (1, 0)
+        huge = QuditState((1e200, 1e200))
+        assert huge.norm == pytest.approx(SQRT2 * 1e200, rel=1e-15)
+        assert huge.normalized().amplitudes == pytest.approx((1 / SQRT2, 1 / SQRT2), abs=1e-15)
+        # sqrt(2) 1.7e308 overflows: the stars are 1/(sqrt(2) 1.7e308) and one
+        # past the double range, within 1e-308 of infinity.
+        found = state_to_constellation(QuditState((1, 1.7e308, 1)))
+        assert constellation_match(found, const(3, 1 / SQRT2 / 1.7e308, "inf"), 1e-15)
 
     def test_qubit_ratio_is_exact(self):
         psi = QuditState((0.6 + 0.1j, -0.3 + 0.7j))
@@ -358,6 +397,12 @@ class TestFidelity:
         psi = QuditState((1, 2j, -1))
         chi = QuditState(tuple(a * (2 + 3j) for a in psi.amplitudes))
         assert projective_fidelity(psi, chi) == pytest.approx(1.0, abs=1e-15)
+        other = QuditState((0.5, 1j, 2))
+        for t in (1e-200, 1e200):  # squares past the double range
+            far = QuditState(tuple(a * t for a in chi.amplitudes))
+            assert projective_fidelity(psi, far) == pytest.approx(1.0, abs=1e-15)
+            assert projective_fidelity(far, other) == pytest.approx(
+                projective_fidelity(chi, other), abs=1e-15)
 
     def test_orthogonal(self):
         assert projective_fidelity(QuditState((1, 0)), QuditState((0, 1))) == 0.0
@@ -374,6 +419,9 @@ class TestBloch:
     def test_plus_x(self):
         v = bloch_vector(QuditState((1 / SQRT2, 1 / SQRT2)))
         assert v.as_tuple() == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
+        for t in (1e-200, 1e200):  # squares past the double range
+            v = bloch_vector(QuditState((t, t)))
+            assert v.as_tuple() == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
 
     def test_plus_y(self):
         v = bloch_vector(QuditState((1 / SQRT2, 1j / SQRT2)))

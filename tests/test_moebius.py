@@ -36,10 +36,15 @@ from quditstars.moebius import (
 )
 from quditstars.sphere import INFINITY, ExtendedComplex, to_sphere
 from quditstars.verify import random_state, random_su2
+from test_majorana import bits
 
 IDENT = make(1, 0, 0, 1)
 RECIP = make(0, 1, 1, 0)            # z -> 1/z
 HADAMARD_MAP = make(1, 1, 1, -1)    # z -> (z+1)/(z-1)
+
+
+def map_bits(m):
+    return bits([m.a, m.b, m.c, m.d])
 
 
 def const(dim, *roots):
@@ -63,6 +68,13 @@ class TestConstruction:
 
     def test_tiny_identity(self):
         assert projectively_equal(make(1e-170, 0, 0, 1e-170), IDENT)
+        # Maps are built at unit scale: a power of two keeping parts normal changes no bit.
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            e = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            for k in (-1000, -1, 3, 1000):
+                scaled = (complex(v.real * 2.0 ** k, v.imag * 2.0 ** k) for v in e)
+                assert map_bits(make(*scaled)) == map_bits(make(*e))
 
     def test_su2_identity(self):
         assert projectively_equal(from_su2(1, 0), IDENT)
@@ -73,6 +85,11 @@ class TestConstruction:
 
     def test_su2_rescales(self):
         assert projectively_equal(from_su2(2, 0), IDENT)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            for k in (-1000, -1, 3, 1000):
+                assert map_bits(from_su2(a * 2.0 ** k, b * 2.0 ** k)) == map_bits(from_su2(a, b))
 
     def test_su2_zero_rejected(self):
         with pytest.raises(ZeroInput):
