@@ -7,20 +7,41 @@ stderr), 2 on usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
 
 from . import formats
 from .errors import QuditStarsError
-from .gatescript import compile_source
 from .majorana import (_unit_scaled, constellation_to_state, find_roots, state_to_constellation,
                        state_to_polynomial)
-from .moebius import lift_to_unitary, to_rotation, transform_constellation
-from .render import RenderSpec, render_constellation_svg
-from .verify import SuiteConfig, run_suite
 
 __all__ = ["main", "console_main"]
+
+# Names resolved on first use, by the submodule that owns each, so that a
+# subcommand imports only what it runs.  A global lookup never reaches the
+# module ``__getattr__``, so the subcommands read them as ``_module.<name>``,
+# which also sees a later rebinding of the attribute.
+_DEFERRED = {
+    "compile_source": "gatescript",
+    "lift_to_unitary": "moebius",
+    "to_rotation": "moebius",
+    "transform_constellation": "moebius",
+    "RenderSpec": "render",
+    "render_constellation_svg": "render",
+    "SuiteConfig": "verify",
+    "run_suite": "verify",
+}
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_DEFERRED[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,8 +133,8 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_transform(args) -> int:
     state = formats.state_from_doc(formats.load_doc(args.state))
-    gate = compile_source(_program_source(args), allow_nonunitary=args.allow_nonunitary)
-    moved = transform_constellation(gate, state_to_constellation(state))
+    gate = _module.compile_source(_program_source(args), allow_nonunitary=args.allow_nonunitary)
+    moved = _module.transform_constellation(gate, state_to_constellation(state))
     formats.save_doc(args.out, formats.state_to_doc(constellation_to_state(moved)))
     return 0
 
@@ -121,14 +142,14 @@ def _cmd_transform(args) -> int:
 def _cmd_lift(args) -> int:
     # Individual terms may be anything here; what must be special-unitary is
     # the compiled product, which lift_to_unitary checks itself.
-    gate = compile_source(_program_source(args), allow_nonunitary=True)
-    formats.save_doc(args.out, formats.unitary_to_doc(lift_to_unitary(gate, args.dim)))
+    gate = _module.compile_source(_program_source(args), allow_nonunitary=True)
+    formats.save_doc(args.out, formats.unitary_to_doc(_module.lift_to_unitary(gate, args.dim)))
     return 0
 
 
 def _cmd_rotation(args) -> int:
-    gate = compile_source(_program_source(args), allow_nonunitary=True)
-    formats.save_doc(args.out, formats.rotation_to_doc(to_rotation(gate)))
+    gate = _module.compile_source(_program_source(args), allow_nonunitary=True)
+    formats.save_doc(args.out, formats.rotation_to_doc(_module.to_rotation(gate)))
     return 0
 
 
@@ -148,14 +169,14 @@ def _cmd_render(args) -> int:
             formats.state_from_doc(formats.load_doc(args.state)))
     else:
         constellation = formats.constellation_from_doc(formats.load_doc(args.constellation))
-    svg = render_constellation_svg(constellation, RenderSpec(size=args.size))
+    svg = _module.render_constellation_svg(constellation, _module.RenderSpec(size=args.size))
     Path(args.out).write_text(svg, encoding="utf-8")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    config = SuiteConfig(dims=_parse_dims(args.dims), trials=args.trials, seed=args.seed)
-    report = run_suite(config)
+    config = _module.SuiteConfig(dims=_parse_dims(args.dims), trials=args.trials, seed=args.seed)
+    report = _module.run_suite(config)
     formats.save_doc(args.out, report.to_doc())
     for prop in report.properties:
         print(f"{prop.name}: {prop.passes}/{prop.trials} passed "

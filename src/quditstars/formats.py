@@ -13,12 +13,15 @@ import json
 import math
 from collections.abc import Iterable
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .majorana import Constellation, QuditState
-from .moebius import MoebiusMap, RotationMatrix, UnitaryMatrix, make
 from .sphere import INFINITY, ExtendedComplex
+
+if TYPE_CHECKING:  # the map readers import moebius when first called
+    from .moebius import MoebiusMap, RotationMatrix, UnitaryMatrix
 
 __all__ = [
     "format_real",
@@ -145,6 +148,8 @@ def moebius_to_doc(m: MoebiusMap) -> dict:
 
 
 def moebius_from_doc(doc) -> MoebiusMap:
+    from .moebius import make
+
     entries = [_complex_from(_require(doc, k, "moebius map"), f"entry {k!r}")
                for k in ("a", "b", "c", "d")]
     return make(*entries)
@@ -156,6 +161,8 @@ def unitary_to_doc(u: UnitaryMatrix) -> dict:
 
 
 def unitary_from_doc(doc) -> UnitaryMatrix:
+    from .moebius import UnitaryMatrix
+
     dim, rows = _dim_and_list(doc, "unitary", "rows", 0, "rows")
     mat = [[_complex_from(v, "matrix entry") for v in row] for row in rows
            if isinstance(row, Iterable)]  # a scalar row drops out and fails the count

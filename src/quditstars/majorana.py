@@ -77,7 +77,7 @@ class QuditState:
     @property
     def norm(self) -> float:
         unit, s = _unit_scaled(self)
-        return math.sqrt(sum(abs(a) ** 2 for a in unit.amplitudes)) / s
+        return math.sqrt(sum(r * r for r in map(abs, unit.amplitudes))) / s
 
     def as_vector(self) -> np.ndarray:
         return np.array(self.amplitudes, dtype=complex)
@@ -89,8 +89,11 @@ class QuditState:
 
 
 def _unit_scaled(state: QuditState) -> tuple[QuditState, float]:
-    """(s state, s), s = ``_pow2`` of its largest real or imaginary part."""
+    """(s state, s), s = ``_pow2`` of its largest real or imaginary part;
+    the state itself when s is 1."""
     s = _pow2(max(abs(p) for a in state.amplitudes for p in (a.real, a.imag)))
+    if s == 1.0:
+        return state, s
     return QuditState(tuple(complex(a.real * s, a.imag * s) for a in state.amplitudes)), s
 
 
@@ -329,10 +332,11 @@ def bloch_vector(state: QuditState) -> SpherePoint:
     if state.dim != 2:
         raise WrongDimension(f"bloch_vector needs dim 2, got {state.dim}")
     a0, a1 = _unit_scaled(state)[0].amplitudes
-    n2 = abs(a0) ** 2 + abs(a1) ** 2
+    r0, r1 = abs(a0), abs(a1)
+    n2 = r0 * r0 + r1 * r1
     cross = a0.conjugate() * a1
     return SpherePoint(2.0 * cross.real / n2, 2.0 * cross.imag / n2,
-                       (abs(a0) ** 2 - abs(a1) ** 2) / n2)
+                       (r0 * r0 - r1 * r1) / n2)
 
 
 def _spinor_arrays(points):

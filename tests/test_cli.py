@@ -162,20 +162,63 @@ def test_lift_dim101(tmp_path):
     assert formats.unitary_from_doc(formats.load_doc(out)).dim == 101
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def library_env() -> dict:
+    """The environment for a fresh interpreter that imports this tree's library."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
     code = "import sys, quditstars; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=library_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
 
 
+def test_import_loads_no_numpy_and_no_submodule():
+    code = ("import sys, quditstars; "
+            "print('numpy' in sys.modules, sorted(m for m in sys.modules if 'quditstars' in m))")
+    out = subprocess.run([sys.executable, "-c", code], env=library_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False ['quditstars']"
+
+
+# The library modules each subcommand loads: only those it runs.
+_CORE = {"errors", "formats", "majorana", "sphere"}
+_GATES = _CORE | {"gatescript", "moebius"}
+SUBCOMMAND_MODULES = {
+    "roots": _CORE, "reconstruct": _CORE, "project": _CORE,
+    "render": _CORE | {"render"},
+    "transform": _GATES, "lift": _GATES, "rotation": _GATES,
+    "verify": _GATES | {"verify"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_imports_only_what_it_runs(tmp_path, command):
+    state = write_state(tmp_path / "s.json", (1, 0.5j, 0.25))
+    stars = tmp_path / "c.json"
+    formats.save_doc(stars, formats.constellation_to_doc(Constellation(3, (1j, INFINITY))))
+    out = str(tmp_path / "out")
+    argv = {"roots": ["--state", state],
+            "reconstruct": ["--constellation", str(stars)],
+            "project": ["--constellation", str(stars)],
+            "render": ["--state", state],
+            "transform": ["--state", state, "--program", "h"],
+            "lift": ["--program", "h", "--dim", "3"],
+            "rotation": ["--program", "h"],
+            "verify": ["--dims", "2..3", "--trials", "1", "--seed", "1"]}[command]
+    code = ("import sys; from quditstars import cli; assert cli.main(sys.argv[1:]) == 0; "
+            "print(' '.join(sorted(m.split('.', 1)[1] for m in sys.modules "
+            "if m.startswith('quditstars.') and m != 'quditstars.cli')))")
+    run = subprocess.run([sys.executable, "-c", code, command, *argv, "--out", out],
+                         env=library_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert set(run.stdout.splitlines()[-1].split()) == SUBCOMMAND_MODULES[command]
+
+
 def test_verify_runs_with_scipy_blocked(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     out = str(tmp_path / "report.json")
     code = f"""
 import sys
@@ -189,7 +232,8 @@ assert [k for k in sys.modules if k.split(".")[0] == "scipy"] == ["scipy"]
 assert sys.modules["scipy"] is None
 sys.exit(code)
 """
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", code], env=library_env(), capture_output=True,
+                         text=True)
     assert run.returncode == 0, run.stderr
     assert "all properties passed" in run.stdout
 

@@ -11,6 +11,7 @@ from quditstars.majorana import (
     QuditState,
     _assignment,
     _chordal_matrix,
+    _unit_scaled,
     basis_state,
     bloch_vector,
     constellation_match,
@@ -217,6 +218,12 @@ class TestStateConstellation:
         # past the double range, within 1e-308 of infinity.
         found = state_to_constellation(QuditState((1, 1.7e308, 1)))
         assert constellation_match(found, const(3, 1 / SQRT2 / 1.7e308, "inf"), 1e-15)
+
+    def test_unit_scale_state_is_used_as_is(self):
+        psi = QuditState((0.6, 0.8j, -0.25))  # largest part in [1/2, 1)
+        assert _unit_scaled(psi)[0] is psi
+        unit, s = _unit_scaled(QuditState((1.0, 0.25j)))
+        assert (unit.amplitudes, s) == ((0.5, 0.125j), 0.5)
 
     def test_qubit_ratio_is_exact(self):
         psi = QuditState((0.6 + 0.1j, -0.3 + 0.7j))
