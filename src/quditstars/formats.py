@@ -55,16 +55,16 @@ _encode = json.JSONEncoder().encode
 
 
 def dumps_canonical(doc) -> str:
-    if isinstance(doc, (float, np.floating)):
+    if type(doc) is float or isinstance(doc, (float, np.floating)):
         return format_real(doc)
     if isinstance(doc, (list, tuple)):
         return "[" + ", ".join([dumps_canonical(v) for v in doc]) + "]"
     if isinstance(doc, dict):
         return "{" + ", ".join([_encode(str(k)) + ": " + dumps_canonical(v)
                                 for k, v in doc.items()]) + "}"
-    if isinstance(doc, np.integer):
-        return _encode(doc.item())
-    return _encode(doc)  # str, int, bool and None; TypeError on anything else
+    if type(doc) is int or isinstance(doc, np.integer):
+        return repr(int(doc))  # as json writes an int
+    return _encode(doc)  # str, int subclasses, bool and None; TypeError on anything else
 
 
 def save_doc(path, doc) -> None:
@@ -80,10 +80,12 @@ def _pair(z: complex) -> list[float]:
 
 
 def _complex_from(value, what: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        raise ValueError(f"{what} must be a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        re, im = value
+        if (isinstance(re, (int, float)) and isinstance(im, (int, float))
+                and not isinstance(re, bool) and not isinstance(im, bool)):
+            return complex(float(re), float(im))
+    raise ValueError(f"{what} must be a [re, im] pair, got {value!r}")
 
 
 def _require(doc, key: str, what: str):

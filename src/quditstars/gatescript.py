@@ -20,7 +20,6 @@ compile("A; B") == compose(compile("B"), compile("A")).
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
 from dataclasses import dataclass, field
@@ -50,7 +49,7 @@ class GateTerm:
     def __post_init__(self):
         if self.kind not in _GATES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        args = tuple(float(a) for a in self.args)
+        args = tuple(map(float, self.args))
         arity = _GATES[self.kind][0]
         if len(args) != arity:
             raise ValueError(f"{self.kind} takes {arity} args, got {len(args)}")
@@ -81,7 +80,7 @@ _TOKEN_RE = re.compile(r"""
 
 
 class _Parser:
-    """Recursive descent with single-token lookahead.
+    """Recursive descent with single-token lookahead at ``tokens[index]``.
 
     A token is a (kind, text, offset) tuple; kind is 'number', 'name', 'end'
     or the punctuation character itself.  The whole source is tokenized
@@ -89,57 +88,54 @@ class _Parser:
     """
 
     def __init__(self, source: str):
-        # Offsets of the line breaks, after a -1 that stands before line 1.
-        self.breaks = [-1, *(m.start() for m in re.finditer("\n", source))]
+        self.source = source
         self.tokens = []
         for m in _TOKEN_RE.finditer(source):
-            kind, text = m.lastgroup, m.group()
+            kind = m.lastgroup
+            if kind == "ws":
+                continue
+            text = m.group()
             if kind == "bad":
                 raise GateSyntaxError(f"unexpected character {text!r}", *self.position(m.start()))
-            if kind != "ws":
-                self.tokens.append((text if kind == "punct" else kind, text, m.start()))
+            self.tokens.append((text if kind == "punct" else kind, text, m.start()))
         self.index = 0
 
     def position(self, offset: int) -> tuple[int, int]:
-        """1-based (line, column) of a source offset."""
-        line = bisect.bisect_right(self.breaks, offset)
-        return line, offset - self.breaks[line - 1]
-
-    @property
-    def current(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple[str, str, int]:
-        self.index += 1
-        return self.tokens[self.index - 1]
+        """1-based (line, column) of a token's offset (never a line break)."""
+        return (self.source.count("\n", 0, offset) + 1,
+                offset - self.source.rfind("\n", 0, offset))
 
     def fail(self, message: str, tok: tuple[str, str, int] | None = None):
-        kind, text, offset = tok or self.current
+        kind, text, offset = tok or self.tokens[self.index]
         shown = text if kind != "end" else "end of input"
         raise GateSyntaxError(f"{message} (got {shown!r})", *self.position(offset))
 
     def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        if self.current[0] != kind:
+        tok = self.tokens[self.index]
+        if tok[0] != kind:
             self.fail(f"expected {what}")
-        return self.advance()
+        self.index += 1
+        return tok
 
     def program(self) -> GateProgram:
+        tokens = self.tokens
         terms = [self.term()]
-        while self.current[0] == ";":
-            self.advance()
-            if self.current[0] == "end":
+        while tokens[self.index][0] == ";":
+            self.index += 1
+            if tokens[self.index][0] == "end":
                 break
             terms.append(self.term())
-        if self.current[0] != "end":
+        if tokens[self.index][0] != "end":
             self.fail("expected ';' or end of program")
         return GateProgram(tuple(terms))
 
     def term(self) -> GateTerm:
-        tok = self.current
+        tok = self.tokens[self.index]
         if tok[0] != "name":
             self.fail("expected a gate name")
-        self.advance()
-        kind = _ALIASES.get(tok[1].lower(), tok[1].lower())
+        self.index += 1
+        name = tok[1].lower()
+        kind = _ALIASES.get(name, name)
         if kind not in _GATES:
             self.fail(f"unknown gate {tok[1]!r}", tok)
         pos = self.position(tok[2])
@@ -147,37 +143,36 @@ class _Parser:
         if arity == 0:
             return GateTerm(kind, (), pos=pos)
         self.expect("(", "'('")
-        args = self.arguments()
+        args = []
+        if self.tokens[self.index][0] != ")":
+            args.append(self.number())
+            while self.tokens[self.index][0] == ",":
+                self.index += 1
+                args.append(self.number())
         self.expect(")", "')'")
         if len(args) != arity:
             raise ArityError(f"{kind} takes {arity} argument(s), got {len(args)}", *pos)
         return GateTerm(kind, tuple(args), pos=pos)
 
-    def arguments(self) -> list[float]:
-        if self.current[0] == ")":
-            return []
-        args = [self.number()]
-        while self.current[0] == ",":
-            self.advance()
-            args.append(self.number())
-        return args
-
     def number(self) -> float:
+        tokens = self.tokens
+        tok = tokens[self.index]
         sign = 1.0
-        if self.current[0] in ("-", "+"):
-            sign = -1.0 if self.advance()[0] == "-" else 1.0
-        tok = self.current
+        if tok[0] in ("-", "+"):
+            sign = -1.0 if tok[0] == "-" else 1.0
+            self.index += 1
+            tok = tokens[self.index]
         if tok[0] == "number":
-            self.advance()
+            self.index += 1
             value = float(tok[1])
             if not math.isfinite(value):
                 self.fail("number out of range", tok)
             return sign * value
         if tok[0] == "name" and tok[1].lower() == "pi":
-            self.advance()
-            if self.current[0] != "/":
+            self.index += 1
+            if tokens[self.index][0] != "/":
                 return sign * math.pi
-            self.advance()
+            self.index += 1
             denom = self.expect("number", "'2' or '4' after 'pi/'")
             if denom[1] not in ("2", "4"):
                 self.fail("pi may only be divided by 2 or 4", denom)

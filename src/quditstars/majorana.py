@@ -43,15 +43,13 @@ __all__ = [
 _LEADING_ZERO_REL = 1e-13
 
 
-def _validated_amplitudes(values, what: str) -> tuple[complex, ...]:
-    amps = tuple(complex(a) for a in values)
+def _validated_amplitudes(amps: tuple[complex, ...], what: str) -> tuple[complex, ...]:
+    """amps, at least two and all finite; the callers reject all zeros."""
     if len(amps) < 2:
         raise ValueError(f"{what} needs at least 2 entries, got {len(amps)}")
     for a in amps:
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise ValueError(f"{what} entries must be finite, got {a!r}")
-    if not any(amps):  # exact, where a modulus could overflow
-        raise ValueError(f"{what} must not be all zero")
     return amps
 
 
@@ -67,8 +65,10 @@ class QuditState:
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes",
-                           _validated_amplitudes(self.amplitudes, "QuditState"))
+        amps = _validated_amplitudes(tuple(map(complex, self.amplitudes)), "QuditState")
+        if not any(amps):  # exact, where a modulus could overflow
+            raise ValueError("QuditState must not be all zero")
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
@@ -91,10 +91,11 @@ class QuditState:
 def _unit_scaled(state: QuditState) -> tuple[QuditState, float]:
     """(s state, s), s = ``_pow2`` of its largest real or imaginary part;
     the state itself when s is 1."""
-    s = _pow2(max(abs(p) for a in state.amplitudes for p in (a.real, a.imag)))
+    amps = state.amplitudes
+    s = _pow2(max([abs(a.real) for a in amps] + [abs(a.imag) for a in amps]))
     if s == 1.0:
         return state, s
-    return QuditState(tuple(complex(a.real * s, a.imag * s) for a in state.amplitudes)), s
+    return QuditState(tuple(complex(a.real * s, a.imag * s) for a in amps)), s
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class MajoranaPolynomial:
     coefficients: tuple[complex, ...]
 
     def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coefficients)
+        coeffs = tuple(map(complex, self.coefficients))
         if coeffs and not any(coeffs):
             raise ZeroPolynomial("all coefficients are zero")
         object.__setattr__(self, "coefficients",
@@ -175,25 +176,25 @@ def _signed_weights(n: int) -> np.ndarray:
 def state_to_polynomial(state: QuditState) -> MajoranaPolynomial:
     """c_mu = a_mu * (-1)^mu * sqrt(C(n, mu)), n = dim - 1."""
     w = _signed_weights(state.dim - 1)
-    return MajoranaPolynomial(tuple(state.as_vector() * np.sign(w) * np.abs(w)))
+    return MajoranaPolynomial(tuple((state.as_vector() * np.sign(w) * np.abs(w)).tolist()))
 
 
 def polynomial_to_state(poly: MajoranaPolynomial) -> QuditState:
     """Exact inverse of ``state_to_polynomial`` (no normalization applied)."""
     w = _signed_weights(poly.dim - 1)
-    return QuditState(tuple(poly.as_vector() * np.sign(w) / np.abs(w)))
+    return QuditState(tuple((poly.as_vector() * np.sign(w) / np.abs(w)).tolist()))
 
 
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+def _companion_roots(coeffs: np.ndarray) -> list[complex]:
     """Finite roots via eigenvalues of the companion matrix (LAPACK path)."""
     m = len(coeffs) - 1
     if m == 0:
-        return np.empty(0, dtype=complex)
+        return []
     if m == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
+        return [complex(-coeffs[0] / coeffs[1])]
     comp = np.eye(m, k=-1, dtype=complex)
     comp[:, -1] -= np.asarray(coeffs[:-1], dtype=complex) / coeffs[-1]
-    return np.linalg.eigvals(comp)
+    return np.linalg.eigvals(comp).tolist()
 
 
 def _effective_degree(coeffs: np.ndarray) -> int:
@@ -205,12 +206,12 @@ def _effective_degree(coeffs: np.ndarray) -> int:
     coefficients would not do, since at large d the middle weights exceed
     the end ones by ~2^(n/2) and real leading amplitudes would read as zero.
     """
-    mags = np.abs(coeffs) / np.abs(_signed_weights(len(coeffs) - 1))
-    top = mags.max()
+    mags = (np.abs(coeffs) / np.abs(_signed_weights(len(coeffs) - 1))).tolist()
+    top = max(mags)
     if top == 0.0:
         raise ZeroPolynomial("all coefficients are zero")
     threshold = _LEADING_ZERO_REL * top
-    deg = len(coeffs) - 1
+    deg = len(mags) - 1
     while deg > 0 and mags[deg] <= threshold:  # stops at or above the argmax
         deg -= 1
     return deg
@@ -230,7 +231,7 @@ def _finite_roots(coeffs: np.ndarray) -> list[complex]:
     k0 = 0
     while k0 < len(coeffs) - 1 and coeffs[k0] == 0:
         k0 += 1
-    return [0j] * k0 + list(_companion_roots(coeffs[k0:]))
+    return [0j] * k0 + _companion_roots(coeffs[k0:])
 
 
 def find_roots(poly: MajoranaPolynomial) -> Constellation:
@@ -244,8 +245,11 @@ def find_roots(poly: MajoranaPolynomial) -> Constellation:
     infinities last; the meaning is a multiset.
     """
     # Roots ignore scale; at unit scale no modulus or quotient overflows.
-    parts = poly.as_vector().view(float)
-    coeffs = (parts * _pow2(np.abs(parts).max())).view(complex)
+    coeffs = poly.as_vector()
+    parts = coeffs.view(float)
+    s = _pow2(np.abs(parts).max())
+    if s != 1.0:
+        coeffs = (parts * s).view(complex)
     deg = _effective_degree(coeffs)
     n_infinite = (poly.dim - 1) - deg
     finite = _finite_roots(coeffs[: deg + 1]) if deg > 0 else []
@@ -286,8 +290,9 @@ def _unit_phase(v: np.ndarray) -> complex:
     """The unit factor that makes v's first entry above 1e-12 times its
     largest modulus real positive: the global-phase convention of
     ``constellation_to_state`` and, on column 0, of ``lift_to_unitary``."""
-    significant = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
-    lead = v[significant[0]]
+    mags = np.abs(v).tolist()
+    cut = 1e-12 * max(mags)
+    lead = v[next(k for k, r in enumerate(mags) if r > cut)]
     return lead.conjugate() / abs(lead)
 
 
@@ -310,7 +315,7 @@ def constellation_to_state(constellation: Constellation) -> QuditState:
     # An exact power-of-two division first: no square in the norm underflows.
     amps = amps / (1.0 / _pow2(np.abs(amps).max()))
     amps = amps / np.linalg.norm(amps)
-    return QuditState(tuple(amps * _unit_phase(amps)))
+    return QuditState(tuple((amps * _unit_phase(amps)).tolist()))
 
 
 def projective_fidelity(psi: QuditState, chi: QuditState) -> float:

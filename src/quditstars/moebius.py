@@ -63,15 +63,18 @@ class MoebiusMap:
     d: complex
 
     def __post_init__(self):
-        entries = [complex(v) for v in (self.a, self.b, self.c, self.d)]
-        for v in entries:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        a, b, c, d = complex(self.a), complex(self.b), complex(self.c), complex(self.d)
+        for v in (a, b, c, d):
+            if not cmath.isfinite(v):
                 raise ValueError(f"entries must be finite, got {v!r}")
         # Maps are projective, so the exact rescale keeps |v| and ad - bc in range.
-        scale = _pow2(max(abs(p) for v in entries for p in (v.real, v.imag)))
-        a, b, c, d = entries = [complex(v.real * scale, v.imag * scale) for v in entries]
+        scale = _pow2(max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag),
+                          abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)))
+        if scale != 1.0:
+            a, b = complex(a.real * scale, a.imag * scale), complex(b.real * scale, b.imag * scale)
+            c, d = complex(c.real * scale, c.imag * scale), complex(d.real * scale, d.imag * scale)
         det = a * d - b * c
-        if abs(det) <= _SINGULAR_REL * max(map(abs, entries)) ** 2 or det == 0:
+        if abs(det) <= _SINGULAR_REL * max(abs(a), abs(b), abs(c), abs(d)) ** 2 or det == 0:
             raise SingularMatrix(f"ad - bc = {det!r} (entries times {scale!r}) "
                                  f"is singular at the working precision")
         s = cmath.sqrt(det)
@@ -101,7 +104,8 @@ def from_su2(a, b) -> MoebiusMap:
     """
     a, b = complex(a), complex(b)
     s = _pow2(max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag)))  # |a| may overflow
-    a, b = complex(a.real * s, a.imag * s), complex(b.real * s, b.imag * s)
+    if s != 1.0:
+        a, b = complex(a.real * s, a.imag * s), complex(b.real * s, b.imag * s)
     nrm = math.hypot(abs(a), abs(b))
     if nrm == 0:
         raise ZeroInput("from_su2 needs (a, b) != (0, 0)")
@@ -165,8 +169,10 @@ class UnitaryMatrix:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        gram = mat.conj().T @ mat
-        defect = np.linalg.norm(gram - np.eye(mat.shape[0]))
+        # U+U - I flattened, so its diagonal is every (d + 1)th entry.
+        gram = (mat.conj().T @ mat).ravel()
+        gram[::mat.shape[0] + 1] -= 1.0
+        defect = math.sqrt(np.vdot(gram, gram).real)
         if not defect <= _UNITARY_FROBENIUS_TOL:
             raise NotUnitary(f"U+U deviates from I by {defect:.3e} in Frobenius norm")
         mat.flags.writeable = False
@@ -190,9 +196,17 @@ class RotationMatrix:
         mat = np.array(self.matrix, dtype=float)
         if mat.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
-        defect = np.linalg.norm(mat.T @ mat - np.eye(3))
-        det = np.linalg.det(mat)
-        if defect > _ROTATION_TOL or abs(det - 1.0) > _ROTATION_TOL:
+        # Columns x, y, z: the Frobenius norm of the Gram matrix less I, and
+        # det = x . (y cross z).  NaN fails both comparisons.
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = mat.tolist()
+        xx = x0 * x0 + x1 * x1 + x2 * x2 - 1.0
+        yy = y0 * y0 + y1 * y1 + y2 * y2 - 1.0
+        zz = z0 * z0 + z1 * z1 + z2 * z2 - 1.0
+        xy, xz = x0 * y0 + x1 * y1 + x2 * y2, x0 * z0 + x1 * z1 + x2 * z2
+        yz = y0 * z0 + y1 * z1 + y2 * z2
+        defect = math.sqrt(xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz))
+        det = x0 * (y1 * z2 - y2 * z1) + x1 * (y2 * z0 - y0 * z2) + x2 * (y0 * z1 - y1 * z0)
+        if not (defect <= _ROTATION_TOL and abs(det - 1.0) <= _ROTATION_TOL):
             raise ValueError(f"not a rotation: orthogonality defect {defect:.3e}, det {det!r}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -246,17 +260,21 @@ def to_rotation(m: MoebiusMap) -> RotationMatrix:
         raise NotUnitary("only special-unitary maps act as rotations")
     a, b = m.a, m.b
     p, q, r, c = a * a - b * b, a * a + b * b, 2 * a * b, 2 * a * b.conjugate()
-    rows = [[p.real, q.imag, -r.real], [-p.imag, q.real, r.imag],
-            [c.real, c.imag, abs(a) ** 2 - abs(b) ** 2]]
-    return RotationMatrix(np.array(rows) / (abs(a) ** 2 + abs(b) ** 2))
+    n = abs(a) ** 2 + abs(b) ** 2
+    return RotationMatrix(np.array([
+        [p.real / n, q.imag / n, -r.real / n], [-p.imag / n, q.real / n, r.imag / n],
+        [c.real / n, c.imag / n, (abs(a) ** 2 - abs(b) ** 2) / n]]))
 
+
+# Maps are immutable, so the two fixed gates are built once and shared.
+_NOT, _HADAMARD = from_su2(0.0, 1j), make(1.0, 1.0, 1.0, -1.0)
 
 # Every gate kind: (parameter count, builder from the float parameters).
 # The parser, GateTerm and the random terms of ``verify`` read kinds and
 # arities from here; ``verify`` draws kinds in this order.
 _GATES = {
-    "not": (0, lambda: from_su2(0.0, 1j)),
-    "hadamard": (0, lambda: make(1.0, 1.0, 1.0, -1.0)),
+    "not": (0, lambda: _NOT),
+    "hadamard": (0, lambda: _HADAMARD),
     "rotx": (1, lambda t: from_su2(math.cos(t / 2.0), 1j * math.sin(t / 2.0))),
     "roty": (1, lambda t: from_su2(math.cos(t / 2.0), math.sin(t / 2.0))),
     "rotz": (1, lambda t: from_su2(cmath.exp(-1j * t / 2.0), 0.0)),

@@ -57,9 +57,9 @@ class ExtendedComplex:
         if v is None:
             return
         v = complex(v)
-        if math.isnan(v.real) or math.isnan(v.imag):
-            raise ValueError("ExtendedComplex rejects NaN components")
-        if math.isinf(v.real) or math.isinf(v.imag):
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            if math.isnan(v.real) or math.isnan(v.imag):
+                raise ValueError("ExtendedComplex rejects NaN components")
             v = None
         object.__setattr__(self, "value", v)
 

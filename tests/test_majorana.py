@@ -66,6 +66,15 @@ class TestTypes:
         with pytest.raises(ZeroPolynomial):
             MajoranaPolynomial((0, 0, 0))
 
+    @pytest.mark.parametrize("cls", [QuditState, MajoranaPolynomial])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(6))  # re and im of each of three entries
+    def test_nonfinite_rejected(self, cls, bad, slot):
+        parts = [0.5, 0.0, 1.0, -0.25, 0.0, 2.0]
+        parts[slot] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            cls(tuple(complex(parts[k], parts[k + 1]) for k in range(0, 6, 2)))
+
     def test_constellation_root_count(self):
         with pytest.raises(ValueError):
             Constellation(3, (INFINITY,))

@@ -91,6 +91,15 @@ class TestConstruction:
             for k in (-1000, -1, 3, 1000):
                 assert map_bits(from_su2(a * 2.0 ** k, b * 2.0 ** k)) == map_bits(from_su2(a, b))
 
+    @pytest.mark.parametrize("build", [make, MoebiusMap])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(8))  # re and im of a, b, c, d
+    def test_nonfinite_rejected(self, build, bad, slot):
+        parts = [1.0, 0.0, 0.5, 0.25, 0.0, 0.0, 1.0, 0.0]
+        parts[slot] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            build(*(complex(parts[k], parts[k + 1]) for k in range(0, 8, 2)))
+
     def test_su2_zero_rejected(self):
         with pytest.raises(ZeroInput):
             from_su2(0, 0)
@@ -402,3 +411,25 @@ class TestMatrixTypes:
     def test_rotation_validation(self):
         with pytest.raises(ValueError):
             RotationMatrix(np.diag([1.0, 1.0, -1.0]))  # determinant -1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", range(9))
+    def test_rotation_rejects_nonfinite(self, bad, slot):
+        # A NaN defect or determinant fails every comparison, so it must not pass.
+        mat = np.eye(3)
+        mat.flat[slot] = bad
+        with pytest.raises(ValueError, match="not a rotation"):
+            RotationMatrix(mat)
+
+    def test_rotation_rejects_all_nan(self):
+        with pytest.raises(ValueError, match="not a rotation"):
+            RotationMatrix(np.full((3, 3), np.nan))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", range(8))  # re and im of each entry
+    def test_unitary_rejects_nonfinite(self, bad, slot):
+        parts = np.eye(2, dtype=complex).view(float)
+        parts.flat[slot] = bad
+        # numpy's product warns on an infinite entry; the defect check must still reject it.
+        with np.errstate(invalid="ignore"), pytest.raises(NotUnitary):
+            UnitaryMatrix(parts.view(complex))

@@ -35,6 +35,15 @@ class TestExtendedComplex:
     def test_infinite_component_collapses_to_infinity(self):
         assert ExtendedComplex(complex(float("inf"), 1.0)).is_infinite
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0.0, np.inf),
+                                       complex(1.0, -np.inf), complex(np.inf, -np.inf)])
+    def test_infinity_is_the_point_at_infinity(self, value):
+        assert ExtendedComplex(value) == INFINITY
+
+    def test_nan_beside_infinity_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ExtendedComplex(complex(np.inf, np.nan))
+
     def test_exactly_one_branch(self):
         z = ExtendedComplex(1 + 2j)
         assert not z.is_infinite
