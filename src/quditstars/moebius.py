@@ -260,10 +260,11 @@ def to_rotation(m: MoebiusMap) -> RotationMatrix:
         raise NotUnitary("only special-unitary maps act as rotations")
     a, b = m.a, m.b
     p, q, r, c = a * a - b * b, a * a + b * b, 2 * a * b, 2 * a * b.conjugate()
-    n = abs(a) ** 2 + abs(b) ** 2
+    ra, rb = abs(a), abs(b)
+    n = ra * ra + rb * rb
     return RotationMatrix(np.array([
         [p.real / n, q.imag / n, -r.real / n], [-p.imag / n, q.real / n, r.imag / n],
-        [c.real / n, c.imag / n, (abs(a) ** 2 - abs(b) ** 2) / n]]))
+        [c.real / n, c.imag / n, (ra * ra - rb * rb) / n]]))
 
 
 # Maps are immutable, so the two fixed gates are built once and shared.
