@@ -425,6 +425,36 @@ class TestMatrixTypes:
         with pytest.raises(ValueError, match="not a rotation"):
             RotationMatrix(np.full((3, 3), np.nan))
 
+    def test_checks_decide_as_the_numpy_reference(self):
+        # Near-rotations and near-unitaries on both sides of the tolerance are
+        # accepted exactly when np.linalg.norm and np.linalg.det say so.
+        rng = np.random.default_rng(21)
+        decisions = set()
+        for _ in range(300):
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            m = q * np.sign(np.linalg.det(q)) + 10.0 ** rng.uniform(-12, -9) * rng.standard_normal((3, 3))
+            want = (np.linalg.norm(m.T @ m - np.eye(3)) <= 1e-10
+                    and abs(np.linalg.det(m) - 1.0) <= 1e-10)
+            try:
+                RotationMatrix(m)
+                got = True
+            except ValueError:
+                got = False
+            assert got == want
+            decisions.add(("rotation", got))
+            d = int(rng.integers(2, 8))
+            z = rng.standard_normal((d, d, 2)).view(complex)[..., 0]
+            u = np.linalg.qr(z)[0] + 10.0 ** rng.uniform(-11, -8) * z
+            want = np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-9
+            try:
+                UnitaryMatrix(u)
+                got = True
+            except NotUnitary:
+                got = False
+            assert got == want
+            decisions.add(("unitary", got))
+        assert len(decisions) == 4
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("slot", range(8))  # re and im of each entry
     def test_unitary_rejects_nonfinite(self, bad, slot):
