@@ -23,9 +23,8 @@ _EXPORTS = {
     "gatescript": ("GateProgram", "GateTerm", "compile_program", "compile_source", "parse"),
     "majorana": ("Constellation", "MajoranaPolynomial", "QuditState", "basis_state",
                  "bloch_vector", "constellation_match", "constellation_pairing",
-                 "constellation_to_state", "expand_roots", "find_roots",
-                 "polynomial_to_state", "projective_fidelity", "state_to_constellation",
-                 "state_to_polynomial"),
+                 "constellation_to_state", "find_roots", "polynomial_to_state",
+                 "projective_fidelity", "state_to_constellation", "state_to_polynomial"),
     "moebius": ("MoebiusMap", "RotationMatrix", "UnitaryMatrix", "apply_point", "compose",
                 "from_su2", "inverse", "is_special_unitary", "lift_to_unitary", "make",
                 "phase_aligned_distance", "projective_distance", "projectively_equal",

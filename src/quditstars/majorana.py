@@ -29,7 +29,6 @@ __all__ = [
     "state_to_polynomial",
     "polynomial_to_state",
     "find_roots",
-    "expand_roots",
     "state_to_constellation",
     "constellation_to_state",
     "projective_fidelity",
@@ -258,30 +257,6 @@ def find_roots(poly: MajoranaPolynomial) -> Constellation:
     return Constellation(poly.dim, tuple(roots))
 
 
-def expand_roots(constellation: Constellation, scale: complex) -> MajoranaPolynomial:
-    """scale * prod over finite roots (z - alpha), padded with zero leading
-    coefficients so roots at infinity are re-encoded as degree deficits.
-
-    The factors are multiplied in ``_sort_key`` order (smallest modulus
-    first) whatever the input order: at large d some orders, such as by
-    real part, lose the expansion to rounding, and this one keeps it
-    accurate.
-    """
-    scale = complex(scale)
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
-    coeffs = np.array([scale], dtype=complex)
-    for root in sorted(constellation.roots, key=_sort_key):
-        if not root.is_infinite:
-            coeffs = np.convolve(coeffs, np.array([-root.value, 1.0], dtype=complex))
-    if not np.isfinite(coeffs).all():
-        raise ValueError(f"expanding this {constellation.dim}-level constellation "
-                         "overflows double precision")
-    padded = np.zeros(constellation.dim, dtype=complex)
-    padded[: len(coeffs)] = coeffs
-    return MajoranaPolynomial(tuple(padded))
-
-
 def state_to_constellation(state: QuditState) -> Constellation:
     return find_roots(state_to_polynomial(_unit_scaled(state)[0]))
 
@@ -301,8 +276,10 @@ def constellation_to_state(constellation: Constellation) -> QuditState:
     constellation; inverse of ``state_to_constellation`` up to overall scale.
 
     Multiplies the stars' spinor factors (v z - u) in ``_sort_key`` order (a
-    star at infinity is the constant -1): |coefficient mu| <= C(n, mu), so
-    only d past ~1000 overflows."""
+    star at infinity is the constant -1), whatever the input order: at large
+    d some orders, such as by real part, lose the expansion to rounding, and
+    this one keeps it accurate.  |coefficient mu| <= C(n, mu), so only d
+    past ~1000 overflows."""
     coeffs = np.ones(1, dtype=complex)
     for root in sorted(constellation.roots, key=_sort_key):
         u, v = _spinor(root)

@@ -169,6 +169,12 @@ class UnitaryMatrix:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        # A unitary's entries have modulus at most 1.  An entry past 2 (inf
+        # and NaN included) is rejected before the product, which it could
+        # overflow or fill with NaN.
+        top = np.abs(mat).max(initial=0.0)
+        if not top <= 2.0:
+            raise NotUnitary(f"an entry of modulus {top:.3e} cannot belong to a unitary")
         # U+U - I flattened, so its diagonal is every (d + 1)th entry.
         gram = (mat.conj().T @ mat).ravel()
         gram[::mat.shape[0] + 1] -= 1.0

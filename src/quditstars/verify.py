@@ -36,11 +36,11 @@ from .majorana import (
     bloch_vector,
     constellation_pairing,
     constellation_to_state,
-    expand_roots,
     find_roots,
     polynomial_to_state,
     projective_fidelity,
     state_to_constellation,
+    state_to_polynomial,
 )
 from .moebius import (
     _GATES,
@@ -136,9 +136,9 @@ def oracle_roots(poly: MajoranaPolynomial) -> Constellation:
     """Roots via companion-matrix eigenvalues (LAPACK QR iteration).
 
     A secondary check only: ``find_roots`` runs the same eigenvalue method
-    and differs only in deflating exact trailing zeros, so agreement with
-    it shows little.  The independent check is the ``root_backward_error``
-    property.
+    and differs only in rescaling the coefficients by an exact power of two
+    and in deflating exact trailing zeros, so agreement with it shows
+    little.  The independent check is the ``root_backward_error`` property.
     """
     coeffs = poly.as_vector()
     deg = _effective_degree(coeffs)
@@ -199,8 +199,9 @@ def _random_polynomial(rng: np.random.Generator, dim: int):
     """A polynomial plus the matching tolerance its roots deserve.
 
     A quarter of draws double one root (clusters are the hard case, matched
-    at 1e-6); a quarter zero out leading coefficients to force roots at
-    infinity.
+    at 1e-6), planted as ``state_to_polynomial`` of the state
+    ``constellation_to_state`` rebuilds from the drawn stars; a quarter
+    zero out leading coefficients to force roots at infinity.
     """
     style = rng.uniform()
     if style < 0.25 and dim >= 3:
@@ -208,8 +209,8 @@ def _random_polynomial(rng: np.random.Generator, dim: int):
         roots = [ExtendedComplex(alpha), ExtendedComplex(alpha)]
         for _ in range(dim - 3):
             roots.append(ExtendedComplex(complex(rng.standard_normal(), rng.standard_normal())))
-        scale = complex(rng.standard_normal(), rng.standard_normal()) + 2.0
-        return expand_roots(Constellation(dim, tuple(roots)), scale), 1e-6
+        state = constellation_to_state(Constellation(dim, tuple(roots)))
+        return state_to_polynomial(state), 1e-6
     coeffs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     if style > 0.75 and dim >= 3:
         k = int(rng.integers(1, min(3, dim - 1) + 1))

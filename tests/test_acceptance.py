@@ -21,11 +21,11 @@ from quditstars.majorana import (
     bloch_vector,
     constellation_pairing,
     constellation_to_state,
-    expand_roots,
     find_roots,
     polynomial_to_state,
     projective_fidelity,
     state_to_constellation,
+    state_to_polynomial,
 )
 from quditstars.moebius import (
     MoebiusMap,
@@ -153,8 +153,8 @@ def test_criterion_06_root_finder_vs_oracle():
             stars = [ExtendedComplex(alpha), ExtendedComplex(alpha)]
             stars += [ExtendedComplex(complex(*rng.standard_normal(2)))
                       for _ in range(dim - 3)]
-            poly = expand_roots(Constellation(dim, tuple(stars)),
-                                complex(*rng.standard_normal(2)) + 2.0)
+            poly = state_to_polynomial(constellation_to_state(Constellation(dim, tuple(stars))))
+            rng.standard_normal(2)  # the former scale draw, so later inputs keep their draws
             doubled = True
         else:
             coeffs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -17,7 +17,6 @@ from quditstars.majorana import (
     constellation_match,
     constellation_pairing,
     constellation_to_state,
-    expand_roots,
     find_roots,
     polynomial_to_state,
     projective_fidelity,
@@ -145,24 +144,6 @@ class TestFindRoots:
     def test_deterministic_order(self):
         p = MajoranaPolynomial((2, 0, -3, 1, 0))
         assert find_roots(p).roots == find_roots(p).roots
-
-
-class TestExpandRoots:
-    def test_pair(self):
-        p = expand_roots(const(3, 1, -1), 1.0)
-        np.testing.assert_allclose(p.as_vector(), [-1, 0, 1], atol=1e-15)
-
-    def test_inverse_of_find_roots_example(self):
-        p = expand_roots(const(3, 1 / SQRT2, "inf"), -SQRT2)
-        np.testing.assert_allclose(p.as_vector(), [1, -SQRT2, 0], atol=1e-15)
-
-    def test_all_infinite_is_constant(self):
-        p = expand_roots(const(2, "inf"), 1.0)
-        assert p.coefficients == (1 + 0j, 0j)
-
-    def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
-            expand_roots(const(2, 0), 0.0)
 
 
 class TestStateConstellation:

@@ -460,6 +460,16 @@ class TestMatrixTypes:
     def test_unitary_rejects_nonfinite(self, bad, slot):
         parts = np.eye(2, dtype=complex).view(float)
         parts.flat[slot] = bad
-        # numpy's product warns on an infinite entry; the defect check must still reject it.
-        with np.errstate(invalid="ignore"), pytest.raises(NotUnitary):
+        with pytest.raises(NotUnitary, match="cannot belong to a unitary"):
             UnitaryMatrix(parts.view(complex))
+
+    @pytest.mark.parametrize("dim", [2, 9, 301])
+    def test_unitary_rejects_huge_entry(self, dim):
+        # Finite, but its square overflows the product U+U.
+        mat = np.eye(dim, dtype=complex)
+        mat[dim // 2, 0] = 1e200
+        with pytest.raises(NotUnitary, match="1.000e[+]200"):
+            UnitaryMatrix(mat)
+        mat[dim // 2, 0] = 2.0  # the largest modulus let through to the defect check
+        with pytest.raises(NotUnitary, match="deviates from I"):
+            UnitaryMatrix(mat)

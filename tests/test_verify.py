@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,15 @@ from quditstars.majorana import (
     basis_state,
     constellation_match,
     constellation_pairing,
-    expand_roots,
+    constellation_to_state,
     find_roots,
+    state_to_polynomial,
 )
 from quditstars.moebius import make, standard_gate
-from quditstars.sphere import ExtendedComplex
+from quditstars.sphere import ExtendedComplex, chordal_distance
 from quditstars.verify import (
     SuiteConfig,
+    _random_polynomial,
     equivariance_trial,
     oracle_roots,
     random_state,
@@ -56,9 +60,26 @@ class TestOracle:
             alpha = complex(rng.standard_normal(), rng.standard_normal())
             stars = (ExtendedComplex(alpha), ExtendedComplex(alpha),
                      ExtendedComplex(complex(rng.standard_normal(), rng.standard_normal())))
-            p = expand_roots(Constellation(4, stars), 1.0)
+            p = state_to_polynomial(constellation_to_state(Constellation(4, stars)))
             _, worst = constellation_pairing(find_roots(p), oracle_roots(p))
             assert worst <= 1e-6
+
+    @pytest.mark.parametrize("dim", range(3, 14))
+    def test_planted_double_root_is_found(self, dim):
+        # The suite's doubled-style draws (matched at 1e-6) must keep their
+        # double root.  Rounding splits it by about sqrt(eps) times the
+        # cluster's conditioning (up to 1e-5 seen), while distinct drawn
+        # stars are more than 4e-3 apart, so 1e-4 tells the two apart.
+        rng = np.random.default_rng(1016 + dim)
+        doubled = 0
+        while doubled < 20:
+            poly, limit = _random_polynomial(rng, dim)
+            if limit != 1e-6:
+                continue
+            doubled += 1
+            closest = min(chordal_distance(a, b)
+                          for a, b in itertools.combinations(find_roots(poly).roots, 2))
+            assert closest <= 1e-4
 
 
 class TestEquivarianceTrial:
