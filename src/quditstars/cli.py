@@ -1,46 +1,36 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on domain errors (one-line diagnostic on
-stderr), 2 on usage errors (argparse).
+stderr) and when a ``verify`` property fails, 2 on usage errors (argparse).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 from pathlib import Path
 
 from . import formats
 from .errors import QuditStarsError
-from .majorana import (_unit_scaled, constellation_to_state, find_roots, state_to_constellation,
-                       state_to_polynomial)
+from .majorana import constellation_to_state, state_to_constellation
 
 __all__ = ["main", "console_main"]
 
-# Names resolved on first use, by the submodule that owns each, so that a
-# subcommand imports only what it runs.  A global lookup never reaches the
-# module ``__getattr__``, so the subcommands read them as ``_module.<name>``,
-# which also sees a later rebinding of the attribute.
-_DEFERRED = {
-    "compile_source": "gatescript",
-    "lift_to_unitary": "moebius",
-    "to_rotation": "moebius",
-    "transform_constellation": "moebius",
-    "RenderSpec": "render",
-    "render_constellation_svg": "render",
-    "SuiteConfig": "verify",
-    "run_suite": "verify",
-}
+# The package's public names (its ``__all__``) resolve on first use, through
+# the package, which imports only the submodule that owns each; so a
+# subcommand imports only what it runs.  Any other name, such as the
+# package's ``__path__``, is not this module's.  A global lookup never
+# reaches the module ``__getattr__``, so the subcommands read these names as
+# ``_module.<name>``, which also sees a later rebinding of the attribute.
+_package = sys.modules[__package__]
 _module = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name not in _DEFERRED:
+    if name not in _package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_DEFERRED[name]}", __package__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(_package, name)
     return value
 
 
@@ -52,34 +42,41 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", help="state file -> constellation file")
+    p.set_defaults(run=_cmd_roots)
     p.add_argument("--state", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("reconstruct", help="constellation file -> canonical state file")
+    p.set_defaults(run=_cmd_reconstruct)
     p.add_argument("--constellation", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("transform", help="apply a gate program to a state")
+    p.set_defaults(run=_cmd_transform)
     p.add_argument("--state", required=True)
     _add_program_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--allow-nonunitary", action="store_true")
 
     p = sub.add_parser("lift", help="gate program -> d x d unitary matrix file")
+    p.set_defaults(run=_cmd_lift)
     _add_program_args(p)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("rotation", help="gate program -> 3x3 rotation matrix file")
+    p.set_defaults(run=_cmd_rotation)
     _add_program_args(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("project", help="constellation file -> sphere coordinates")
+    p.set_defaults(run=_cmd_project)
     p.add_argument("--constellation", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("render", help="state or constellation -> SVG")
+    p.set_defaults(run=_cmd_render)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--state")
     group.add_argument("--constellation")
@@ -87,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=512)
 
     p = sub.add_parser("verify", help="run the randomized property suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--dims", required=True,
                    help="dimension range 'A..B', a comma list, or one integer")
     p.add_argument("--trials", type=int, required=True)
@@ -119,8 +117,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _cmd_roots(args) -> int:
-    state, _ = _unit_scaled(formats.state_from_doc(formats.load_doc(args.state)))
-    constellation = find_roots(state_to_polynomial(state))
+    constellation = state_to_constellation(formats.state_from_doc(formats.load_doc(args.state)))
     formats.save_doc(args.out, formats.constellation_to_doc(constellation))
     return 0
 
@@ -183,25 +180,13 @@ def _cmd_verify(args) -> int:
               f"(worst deviation {prop.worst_deviation:.3e})")
     print("all properties passed" if report.all_passed
           else "some properties FAILED; see the report")
-    return 0
-
-
-_COMMANDS = {
-    "roots": _cmd_roots,
-    "reconstruct": _cmd_reconstruct,
-    "transform": _cmd_transform,
-    "lift": _cmd_lift,
-    "rotation": _cmd_rotation,
-    "project": _cmd_project,
-    "render": _cmd_render,
-    "verify": _cmd_verify,
-}
+    return 0 if report.all_passed else 1
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (QuditStarsError, ValueError, OverflowError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -161,14 +161,14 @@ def transform_constellation(m: MoebiusMap, constellation: Constellation) -> Cons
 
 @dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
-    """A d x d unitary; construction verifies U+U = I to 1e-9 in Frobenius."""
+    """A d x d unitary, d >= 2; construction verifies U+U = I to 1e-9 in Frobenius."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
+            raise ValueError(f"expected a square matrix of at least 2 rows, got shape {mat.shape}")
         # A unitary's entries have modulus at most 1.  An entry past 2 (inf
         # and NaN included) is rejected before the product, which it could
         # overflow or fill with NaN.

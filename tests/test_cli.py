@@ -367,6 +367,20 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "all properties passed" in capsys.readouterr().out
 
 
+def test_verify_exits_1_when_a_property_fails(tmp_path, monkeypatch, capsys):
+    from quditstars import verify
+
+    failing = verify._Property("always_fails", lambda rng, dim: (1.0, 0.0, {}))
+    monkeypatch.setattr(verify, "_PROPERTIES", (failing,))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--dims", "2", "--trials", "2", "--seed", "1",
+                 "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "always_fails: 0/2 passed" in printed and "some properties FAILED" in printed
+    [prop] = formats.load_doc(out)["properties"]
+    assert (prop["name"], prop["passes"], prop["trials"]) == ("always_fails", 0, 2)
+
+
 def test_verify_dims_forms(tmp_path):
     for dims in ("2", "2,4", "2..4"):
         out = tmp_path / f"r{dims.replace('.', '_').replace(',', '-')}.json"
@@ -415,3 +429,21 @@ def test_traced_benchmark_names_exist(monkeypatch):
     cli_oneshot = importlib.import_module("cli_oneshot")
     for module, attr in [*((m, a) for m, a, _ in cli_oneshot._TRACED), ("cli", "formats")]:
         assert hasattr(importlib.import_module(f"quditstars.{module}"), attr), (module, attr)
+
+
+def test_cli_reads_package_names_through_the_package(monkeypatch):
+    """The names the traced benchmark patches on ``cli`` are the owners' functions."""
+    import importlib
+
+    from quditstars import cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    cli_oneshot = importlib.import_module("cli_oneshot")
+    for module, attr, span in cli_oneshot._TRACED:
+        if module == "cli":
+            owner = importlib.import_module(f"quditstars.{span.split('.')[0]}")
+            assert getattr(cli, attr) is getattr(owner, attr), attr
+    assert not hasattr(cli, "__path__")
+    assert not hasattr(cli, "nope")
+    with pytest.raises(AttributeError, match="'quditstars.cli' has no attribute 'nope'"):
+        cli.nope

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -402,6 +403,12 @@ class TestMatrixTypes:
     def test_unitary_validation(self):
         with pytest.raises(NotUnitary):
             UnitaryMatrix(np.array([[1, 0], [0, 2]], dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (1, 1)])
+    def test_unitary_rejects_fewer_than_two_rows(self, shape):
+        # As QuditState and lift_to_unitary: a qudit has at least 2 levels.
+        with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+            UnitaryMatrix(np.ones(shape, dtype=complex))
 
     def test_unitary_immutable(self):
         u = UnitaryMatrix(np.eye(2, dtype=complex))
