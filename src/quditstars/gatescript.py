@@ -213,7 +213,8 @@ def compile_program(program: GateProgram, allow_nonunitary: bool = False) -> Moe
         if not allow_nonunitary and not is_special_unitary(m):
             raise NonUnitaryGate(
                 f"term {i + 1} ({_render_term(term)}) is not special-unitary; "
-                f"pass allow_nonunitary to apply it to constellations anyway")
+                f"pass allow_nonunitary (--allow-nonunitary on the command line) "
+                f"to apply it to constellations anyway")
         result = m if result is None else compose(m, result)
     assert result is not None
     return result

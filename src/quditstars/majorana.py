@@ -155,33 +155,41 @@ def basis_state(dim: int, level: int) -> QuditState:
 
 
 @functools.lru_cache(maxsize=64)
-def _signed_weights(n: int) -> np.ndarray:
-    """(-1)^mu sqrt(C(n, mu)) for mu = 0..n, by incremental products of ratios.
+def _weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (-1)^mu sqrt(C(n, mu)), mu = 0..n, as (sign, modulus).
 
-    Never forms factorials, so there is no overflow for large n.  The
-    encodings multiply by a weight's sign and modulus as two exact factors:
-    one complex product with the signed weight would give zero amplitudes
-    other signs of zero ("-0" for "0" in state and constellation files).
-    Cached per n and read-only, since every caller shares the array.
+    The modulus comes by incremental products of ratios and never forms
+    factorials, so there is no overflow for large n; it is the diagonal of
+    D = diag sqrt(C(n, mu)).  The encodings multiply by sign and modulus as
+    two exact factors: one complex product with the signed weight would give
+    zero amplitudes other signs of zero ("-0" for "0" in state and
+    constellation files).  Cached per n and read-only, since every caller
+    shares both arrays.
     """
-    w = np.empty(n + 1)
-    w[0] = 1.0
+    mod = np.empty(n + 1)
+    mod[0] = 1.0
     for mu in range(n):
-        w[mu + 1] = -w[mu] * math.sqrt((n - mu) / (mu + 1))
-    w.flags.writeable = False
-    return w
+        mod[mu + 1] = mod[mu] * math.sqrt((n - mu) / (mu + 1))
+    sign = np.resize((1.0, -1.0), n + 1)
+    sign.flags.writeable = mod.flags.writeable = False
+    return sign, mod
 
 
 def state_to_polynomial(state: QuditState) -> MajoranaPolynomial:
     """c_mu = a_mu * (-1)^mu * sqrt(C(n, mu)), n = dim - 1."""
-    w = _signed_weights(state.dim - 1)
-    return MajoranaPolynomial(tuple((state.as_vector() * np.sign(w) * np.abs(w)).tolist()))
+    sign, mod = _weights(state.dim - 1)
+    return MajoranaPolynomial(tuple((state.as_vector() * sign * mod).tolist()))
+
+
+def _amplitudes(coeffs: np.ndarray) -> np.ndarray:
+    """a_mu = c_mu * (-1)^mu / sqrt(C(n, mu)): the encoding undone."""
+    sign, mod = _weights(len(coeffs) - 1)
+    return coeffs * sign / mod
 
 
 def polynomial_to_state(poly: MajoranaPolynomial) -> QuditState:
     """Exact inverse of ``state_to_polynomial`` (no normalization applied)."""
-    w = _signed_weights(poly.dim - 1)
-    return QuditState(tuple((poly.as_vector() * np.sign(w) / np.abs(w)).tolist()))
+    return QuditState(tuple(_amplitudes(poly.as_vector()).tolist()))
 
 
 def _companion_roots(coeffs: np.ndarray) -> list[complex]:
@@ -205,10 +213,11 @@ def _effective_degree(coeffs: np.ndarray) -> int:
     coefficients would not do, since at large d the middle weights exceed
     the end ones by ~2^(n/2) and real leading amplitudes would read as zero.
     """
-    mags = (np.abs(coeffs) / np.abs(_signed_weights(len(coeffs) - 1))).tolist()
+    mags = (np.abs(coeffs) / _weights(len(coeffs) - 1)[1]).tolist()
     top = max(mags)
-    if top == 0.0:
-        raise ZeroPolynomial("all coefficients are zero")
+    if top == 0.0:  # a zero polynomial is rejected on construction
+        raise ZeroPolynomial("every amplitude |c_mu| / sqrt(C(n, mu)) underflows to zero; "
+                             "rescale the coefficients first")
     threshold = _LEADING_ZERO_REL * top
     deg = len(mags) - 1
     while deg > 0 and mags[deg] <= threshold:  # stops at or above the argmax
@@ -233,6 +242,13 @@ def _finite_roots(coeffs: np.ndarray) -> list[complex]:
     return [0j] * k0 + _companion_roots(coeffs[k0:])
 
 
+def _constellation(dim: int, finite: list[complex]) -> Constellation:
+    """The finite roots plus infinities up to dim - 1, in ``_sort_key`` order."""
+    roots = [ExtendedComplex(r) for r in finite] + [INFINITY] * (dim - 1 - len(finite))
+    roots.sort(key=_sort_key)
+    return Constellation(dim, tuple(roots))
+
+
 def find_roots(poly: MajoranaPolynomial) -> Constellation:
     """The d - 1 roots of the polynomial, including roots at infinity.
 
@@ -249,12 +265,7 @@ def find_roots(poly: MajoranaPolynomial) -> Constellation:
     s = _pow2(np.abs(parts).max())
     if s != 1.0:
         coeffs = (parts * s).view(complex)
-    deg = _effective_degree(coeffs)
-    n_infinite = (poly.dim - 1) - deg
-    finite = _finite_roots(coeffs[: deg + 1]) if deg > 0 else []
-    roots = [ExtendedComplex(r) for r in finite] + [INFINITY] * n_infinite
-    roots.sort(key=_sort_key)
-    return Constellation(poly.dim, tuple(roots))
+    return _constellation(poly.dim, _finite_roots(coeffs[: _effective_degree(coeffs) + 1]))
 
 
 def state_to_constellation(state: QuditState) -> Constellation:
@@ -287,8 +298,7 @@ def constellation_to_state(constellation: Constellation) -> QuditState:
     if not np.isfinite(coeffs).all():
         raise ValueError(f"expanding this {constellation.dim}-level constellation "
                          "overflows double precision")
-    w = _signed_weights(constellation.dim - 1)
-    amps = coeffs * np.sign(w) / np.abs(w)
+    amps = _amplitudes(coeffs)
     # An exact power-of-two division first: no square in the norm underflows.
     amps = amps / (1.0 / _pow2(np.abs(amps).max()))
     amps = amps / np.linalg.norm(amps)

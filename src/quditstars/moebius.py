@@ -245,8 +245,9 @@ def lift_to_unitary(m: MoebiusMap, dim: int) -> UnitaryMatrix:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     if not is_special_unitary(m):
-        raise NotUnitary("only special-unitary maps lift to a unitary; "
-                         "use transform_constellation for general maps")
+        raise NotUnitary("only special-unitary maps lift to a unitary; use "
+                         "transform_constellation (transform --allow-nonunitary on "
+                         "the command line) for general maps")
     # a = exp(-i(alpha+gamma)/2) cos(beta/2), i b = exp(-i(alpha-gamma)/2) sin(beta/2);
     # where a or b is 0 its arg is arbitrary, since its factor vanishes.
     beta = 2.0 * math.atan2(abs(m.b), abs(m.a))

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotUnitary, ScriptError, SingularMatrix, ZeroInput
+from .errors import ScriptError
 from .formats import _pair, moebius_to_doc, root_to_doc, state_to_doc
 from .gatescript import GateProgram, GateTerm, compile_source, parse, render
 from .majorana import (
@@ -30,8 +30,8 @@ from .majorana import (
     MajoranaPolynomial,
     QuditState,
     _companion_roots,
+    _constellation,
     _effective_degree,
-    _sort_key,
     basis_state,
     bloch_vector,
     constellation_pairing,
@@ -48,7 +48,6 @@ from .moebius import (
     compose,
     from_su2,
     inverse,
-    is_special_unitary,
     lift_to_unitary,
     make,
     phase_aligned_distance,
@@ -141,21 +140,15 @@ def oracle_roots(poly: MajoranaPolynomial) -> Constellation:
     little.  The independent check is the ``root_backward_error`` property.
     """
     coeffs = poly.as_vector()
-    deg = _effective_degree(coeffs)
-    finite = _companion_roots(coeffs[: deg + 1]) if deg > 0 else []
-    roots = [ExtendedComplex(r) for r in finite]
-    roots += [INFINITY] * ((poly.dim - 1) - deg)
-    roots.sort(key=_sort_key)
-    return Constellation(poly.dim, tuple(roots))
+    return _constellation(poly.dim, _companion_roots(coeffs[: _effective_degree(coeffs) + 1]))
 
 
 def equivariance_trial(m: MoebiusMap, state: QuditState, tol: float):
     """Check lift-then-roots against roots-then-Moebius on one instance.
 
-    Returns (passed, worst matched chordal distance).
+    Returns (passed, worst matched chordal distance); a map that is not
+    special-unitary raises NotUnitary from ``lift_to_unitary``.
     """
-    if not is_special_unitary(m):
-        raise NotUnitary("equivariance is only claimed for special-unitary maps")
     lifted = lift_to_unitary(m, state.dim)
     via_hilbert = state_to_constellation(QuditState(tuple(lifted.apply(state.as_vector()))))
     via_sphere = transform_constellation(m, state_to_constellation(state))
@@ -176,12 +169,7 @@ def random_su2(rng: np.random.Generator) -> MoebiusMap:
 
 
 def _random_moebius(rng: np.random.Generator) -> MoebiusMap:
-    while True:
-        e = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        try:
-            return make(*e)
-        except SingularMatrix:
-            continue
+    return make(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
 
 
 def _random_point(rng: np.random.Generator) -> ExtendedComplex:
@@ -222,16 +210,6 @@ def _random_term(rng: np.random.Generator) -> GateTerm:
     kind = list(_GATES)[int(rng.integers(len(_GATES)))]
     args = tuple(float(a) for a in rng.standard_normal(_GATES[kind][0]))
     return GateTerm(kind, args)
-
-
-def _random_compilable_term(rng: np.random.Generator) -> GateTerm:
-    while True:
-        term = _random_term(rng)
-        try:
-            standard_gate(term.kind, *term.args)
-        except (SingularMatrix, ZeroInput):
-            continue
-        return term
 
 
 def _random_program(rng: np.random.Generator) -> GateProgram:
@@ -292,7 +270,7 @@ def _prop_reconstruction_fidelity(rng, dim):
 
 
 def _prop_qubit_ratio(rng, dim):
-    psi = random_state(rng, 2)
+    psi = random_state(rng, dim)
     a0, a1 = psi.amplitudes
     expected = INFINITY if a1 == 0 else ExtendedComplex(a0 / a1)
     root = state_to_constellation(psi).roots[0]
@@ -301,14 +279,14 @@ def _prop_qubit_ratio(rng, dim):
 
 
 def _prop_bloch_equivalence(rng, dim):
-    psi = random_state(rng, 2)
+    psi = random_state(rng, dim)
     root = state_to_constellation(psi).roots[0]
     dev = float(np.linalg.norm(_sphere_vec(root) - np.array(bloch_vector(psi).as_tuple())))
     return dev, 1e-10, {"state": state_to_doc(psi)}
 
 
 def _prop_orthogonal_antipodality(rng, dim):
-    psi = random_state(rng, 2)
+    psi = random_state(rng, dim)
     a0, a1 = psi.amplitudes
     perp = QuditState((-a1.conjugate(), a0.conjugate()))
     dev = chordal_distance(state_to_constellation(perp).roots[0],
@@ -352,7 +330,7 @@ def _prop_lift_homomorphism(rng, dim):
 
 def _prop_qubit_lift_faithful(rng, dim):
     m = random_su2(rng)
-    dev = phase_aligned_distance(lift_to_unitary(m, 2).matrix, m.matrix)
+    dev = phase_aligned_distance(lift_to_unitary(m, dim).matrix, m.matrix)
     return dev, 1e-10, {"map": moebius_to_doc(m)}
 
 
@@ -397,7 +375,7 @@ def _prop_script_round_trip(rng, dim):
 
 
 def _prop_script_compose_law(rng, dim):
-    t1, t2 = _random_compilable_term(rng), _random_compilable_term(rng)
+    t1, t2 = _random_term(rng), _random_term(rng)
     src1 = render(GateProgram((t1,)))
     src2 = render(GateProgram((t2,)))
     combined = compile_source(f"{src1}; {src2}", allow_nonunitary=True)

@@ -68,6 +68,16 @@ def test_transform_rejects_nonunitary(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "special-unitary" in err
+    assert "--allow-nonunitary" in err
+    assert not out.exists()
+
+
+def test_lift_rejects_nonunitary(tmp_path, capsys):
+    out = tmp_path / "u.json"
+    assert main(["lift", "--program", "raw(2,0,0,0,0,0,1,0)", "--dim", "3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "transform --allow-nonunitary" in err
     assert not out.exists()
 
 
@@ -117,7 +127,7 @@ def test_reconstruct_northern_ring_dim301(tmp_path):
 
 @pytest.mark.parametrize("root", [{"re": None, "im": 0}, {"re": [1.0], "im": 0},
                                   {"re": True, "im": 0}, {"re": "1", "im": 0},
-                                  {"re": 10 ** 400, "im": 0}])
+                                  {"re": 10 ** 400, "im": 0}, [0.5, 0]])
 @pytest.mark.parametrize("command", ["reconstruct", "project", "render"])
 def test_malformed_root_is_one_line_error(tmp_path, capsys, command, root):
     path = tmp_path / "c.json"

@@ -136,6 +136,13 @@ class TestRender:
         with pytest.raises(ValueError):
             GateTerm("rotx", (arg,))
 
+    @pytest.mark.parametrize("kind,args,match", [("h", (), "unknown gate kind"),
+                                                 ("rotx", (), "takes 1 args, got 0"),
+                                                 ("not", (0.5,), "takes 0 args, got 1")])
+    def test_term_needs_kind_and_arity(self, kind, args, match):
+        with pytest.raises(ValueError, match=match):
+            GateTerm(kind, args)
+
 
 class TestGateTable:
     """Scripts and ``standard_gate`` share one table of kinds and aliases."""

@@ -78,6 +78,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             Constellation(3, (INFINITY,))
 
+    def test_dim_and_level_bounds(self):
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            Constellation(1, ())
+        with pytest.raises(ValueError, match="outside 0..2"):
+            basis_state(3, 3)
+
     def test_polynomial_evaluates(self):
         p = MajoranaPolynomial((-1, 0, 1))  # z^2 - 1
         assert p(2.0) == pytest.approx(3.0)

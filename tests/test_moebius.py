@@ -126,6 +126,10 @@ class TestApplyPoint:
     def test_infinity_with_zero_c(self):
         assert apply_point(make(2, 1, 0, 1), INFINITY).is_infinite
 
+    def test_call_is_apply_point(self):
+        for z in (0, 2 - 1j, INFINITY):
+            assert HADAMARD_MAP(z) == apply_point(HADAMARD_MAP, z)
+
     def test_huge_argument(self):
         got = apply_point(HADAMARD_MAP, 1e200)
         assert got.finite == pytest.approx(1.0, abs=1e-12)
@@ -214,6 +218,10 @@ class TestLift:
     def test_rejects_nonunitary(self):
         with pytest.raises(NotUnitary):
             lift_to_unitary(make(2, 0, 0, 0.5), 3)
+
+    def test_rejects_dim_below_two(self):
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            lift_to_unitary(IDENT, 1)
 
     def test_homomorphism_up_to_phase(self):
         rng = np.random.default_rng(37)
@@ -312,14 +320,14 @@ class TestLiftReference:
 
     def test_cached_tables_are_read_only_and_bounded(self):
         lam, v = moebius._spin_table(7)
-        w = majorana._signed_weights(6)
-        for arr in (lam, v, w):
+        sign, mod = majorana._weights(6)
+        for arr in (lam, v, sign, mod):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         for dim in range(2, 80):
             moebius._spin_table(dim)
-            majorana._signed_weights(dim)
-        for cached in (moebius._spin_table, majorana._signed_weights):
+            majorana._weights(dim)
+        for cached in (moebius._spin_table, majorana._weights):
             assert cached.cache_info().maxsize == 64
             assert cached.cache_info().currsize <= 64
 
@@ -340,6 +348,12 @@ class TestRotation:
     def test_reciprocal_is_half_turn_about_x(self):
         np.testing.assert_allclose(to_rotation(RECIP).matrix,
                                    np.diag([1.0, -1.0, -1.0]), atol=1e-12)
+
+    def test_apply_moves_sphere_points(self):
+        m = standard_gate("su2", 0.3, 0.1, -0.7, 0.2)
+        for z in (0, 1.5 - 0.5j, INFINITY):
+            np.testing.assert_allclose(to_rotation(m).apply(to_sphere(z)).as_tuple(),
+                                       to_sphere(m(z)).as_tuple(), atol=1e-14)
 
     def test_rot_z_fixes_z_axis(self):
         r = to_rotation(standard_gate("rot_z", 1.1)).matrix
@@ -418,6 +432,14 @@ class TestMatrixTypes:
     def test_rotation_validation(self):
         with pytest.raises(ValueError):
             RotationMatrix(np.diag([1.0, 1.0, -1.0]))  # determinant -1
+
+    def test_rotation_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+            RotationMatrix(np.eye(2))
+
+    def test_phase_aligned_distance_at_zero_trace(self):
+        # Tr(X+ I) = 0 leaves no phase to align: the plain distance |X - I| = 2.
+        assert phase_aligned_distance([[0, 1], [1, 0]], np.eye(2)) == 2.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("slot", range(9))

@@ -52,6 +52,13 @@ class TestExtendedComplex:
         with pytest.raises(ValueError):
             INFINITY.finite
 
+    def test_complex_and_repr(self):
+        assert complex(ExtendedComplex(1 + 2j)) == 1 + 2j
+        with pytest.raises(ValueError, match="no finite value"):
+            complex(INFINITY)
+        assert repr(ExtendedComplex(1 + 2j)) == "ExtendedComplex((1+2j))"
+        assert repr(INFINITY) == "ExtendedComplex(infinity)"
+
     def test_as_point_coerces_numbers(self):
         assert as_point(2).finite == 2 + 0j
         assert as_point(INFINITY) is INFINITY

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from quditstars.errors import NotUnitary
+from quditstars.errors import NotUnitary, ZeroPolynomial
 from quditstars.formats import dumps_canonical
 from quditstars.majorana import (
     Constellation,
@@ -41,6 +41,15 @@ class TestOracle:
     def test_leading_zeros_go_to_infinity(self):
         c = oracle_roots(MajoranaPolynomial((1, -1, 0, 0)))
         assert sum(r.is_infinite for r in c.roots) == 2
+
+    def test_underflowing_amplitudes_are_not_a_zero_polynomial(self):
+        # 5e-324 / sqrt(6) rounds to 0: no rescale, so no amplitude survives.
+        p = MajoranaPolynomial((0, 0, 5e-324, 0, 0))
+        with pytest.raises(ZeroPolynomial, match="underflows to zero"):
+            oracle_roots(p)
+        roots = find_roots(p).roots
+        assert roots[:2] == (ExtendedComplex(0j),) * 2
+        assert all(r.is_infinite for r in roots[2:])
 
     def test_agrees_with_find_roots(self):
         rng = np.random.default_rng(9)
