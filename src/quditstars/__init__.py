@@ -26,10 +26,10 @@ _EXPORTS = {
                  "constellation_to_state", "find_roots", "polynomial_to_state",
                  "projective_fidelity", "state_to_constellation", "state_to_polynomial"),
     "moebius": ("MoebiusMap", "RotationMatrix", "UnitaryMatrix", "apply_point", "compose",
-                "from_su2", "inverse", "is_special_unitary", "lift_to_unitary", "make",
+                "from_su2", "inverse", "is_special_unitary", "lift_to_unitary",
                 "phase_aligned_distance", "projective_distance", "projectively_equal",
                 "standard_gate", "to_rotation", "transform_constellation"),
-    "render": ("RenderSpec", "render_constellation_svg", "render_state_svg"),
+    "render": ("RenderSpec", "render_constellation_svg"),
     "sphere": ("INFINITY", "ExtendedComplex", "SpherePoint", "antipode", "as_point",
                "chordal_distance", "to_plane", "to_sphere"),
     "verify": ("SuiteConfig", "SuiteReport", "equivariance_trial", "oracle_roots",

@@ -7,12 +7,10 @@ stderr) and when a ``verify`` property fails, 2 on usage errors (argparse).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import formats
-from .errors import QuditStarsError
 from .majorana import constellation_to_state, state_to_constellation
 
 __all__ = ["main", "console_main"]
@@ -111,9 +109,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     if ".." in text:
         lo, hi = text.split("..", 1)
         return tuple(range(int(lo), int(hi) + 1))
-    if "," in text:
-        return tuple(int(v) for v in text.split(","))
-    return (int(text),)
+    return tuple(int(v) for v in text.split(","))
 
 
 def _cmd_roots(args) -> int:
@@ -187,7 +183,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (QuditStarsError, ValueError, OverflowError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OverflowError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -72,7 +72,10 @@ def save_doc(path, doc) -> None:
 
 
 def load_doc(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:  # the parser recurses once per nested array or object
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _pair(z: complex) -> list[float]:
@@ -150,11 +153,11 @@ def moebius_to_doc(m: MoebiusMap) -> dict:
 
 
 def moebius_from_doc(doc) -> MoebiusMap:
-    from .moebius import make
+    from .moebius import MoebiusMap
 
     entries = [_complex_from(_require(doc, k, "moebius map"), f"entry {k!r}")
                for k in ("a", "b", "c", "d")]
-    return make(*entries)
+    return MoebiusMap(*entries)
 
 
 def unitary_to_doc(u: UnitaryMatrix) -> dict:

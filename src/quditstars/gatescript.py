@@ -206,7 +206,6 @@ def compile_program(program: GateProgram, allow_nonunitary: bool = False) -> Moe
     With allow_nonunitary false (the default), any term whose map is not
     special-unitary aborts compilation with NonUnitaryGate naming the term.
     """
-    result: MoebiusMap | None = None
     for i, term in enumerate(program.terms):
         # GateTerm has already resolved the name and checked the arity.
         m = _GATES[term.kind][1](*term.args)
@@ -215,8 +214,7 @@ def compile_program(program: GateProgram, allow_nonunitary: bool = False) -> Moe
                 f"term {i + 1} ({_render_term(term)}) is not special-unitary; "
                 f"pass allow_nonunitary (--allow-nonunitary on the command line) "
                 f"to apply it to constellations anyway")
-        result = m if result is None else compose(m, result)
-    assert result is not None
+        result = compose(m, result) if i else m
     return result
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "MoebiusMap",
     "UnitaryMatrix",
     "RotationMatrix",
-    "make",
     "from_su2",
     "apply_point",
     "compose",
@@ -74,7 +73,7 @@ class MoebiusMap:
             a, b = complex(a.real * scale, a.imag * scale), complex(b.real * scale, b.imag * scale)
             c, d = complex(c.real * scale, c.imag * scale), complex(d.real * scale, d.imag * scale)
         det = a * d - b * c
-        if abs(det) <= _SINGULAR_REL * max(abs(a), abs(b), abs(c), abs(d)) ** 2 or det == 0:
+        if abs(det) <= _SINGULAR_REL * max(abs(a), abs(b), abs(c), abs(d)) ** 2:
             raise SingularMatrix(f"ad - bc = {det!r} (entries times {scale!r}) "
                                  f"is singular at the working precision")
         s = cmath.sqrt(det)
@@ -86,14 +85,6 @@ class MoebiusMap:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
-
-    def __call__(self, z) -> ExtendedComplex:
-        return apply_point(self, z)
-
-
-def make(a, b, c, d) -> MoebiusMap:
-    """Build a map from raw matrix entries; raises SingularMatrix if ad = bc."""
-    return MoebiusMap(a, b, c, d)
 
 
 def from_su2(a, b) -> MoebiusMap:
@@ -134,10 +125,10 @@ def inverse(m: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(m.d, -m.b, -m.c, m.a)
 
 
-def is_special_unitary(m: MoebiusMap, tol: float = _SU2_TOL) -> bool:
-    """True iff the determinant-1 form is ((a, b), (-conj b, conj a))."""
-    return (abs(m.d - m.a.conjugate()) <= tol
-            and abs(m.c + m.b.conjugate()) <= tol)
+def is_special_unitary(m: MoebiusMap) -> bool:
+    """True iff the determinant-1 form is ((a, b), (-conj b, conj a)), to 1e-10 per entry."""
+    return (abs(m.d - m.a.conjugate()) <= _SU2_TOL
+            and abs(m.c + m.b.conjugate()) <= _SU2_TOL)
 
 
 def projective_distance(m1: MoebiusMap, m2: MoebiusMap) -> float:
@@ -148,9 +139,9 @@ def projective_distance(m1: MoebiusMap, m2: MoebiusMap) -> float:
     return float(np.linalg.norm(v1 - s * v2) / np.linalg.norm(v1))
 
 
-def projectively_equal(m1: MoebiusMap, m2: MoebiusMap, tol: float = 1e-12) -> bool:
-    """Equality up to a nonzero complex scalar."""
-    return projective_distance(m1, m2) <= tol
+def projectively_equal(m1: MoebiusMap, m2: MoebiusMap) -> bool:
+    """Equality up to a nonzero complex scalar: ``projective_distance`` at most 1e-12."""
+    return projective_distance(m1, m2) <= 1e-12
 
 
 def transform_constellation(m: MoebiusMap, constellation: Constellation) -> Constellation:
@@ -172,7 +163,7 @@ class UnitaryMatrix:
         # A unitary's entries have modulus at most 1.  An entry past 2 (inf
         # and NaN included) is rejected before the product, which it could
         # overflow or fill with NaN.
-        top = np.abs(mat).max(initial=0.0)
+        top = np.abs(mat).max()
         if not top <= 2.0:
             raise NotUnitary(f"an entry of modulus {top:.3e} cannot belong to a unitary")
         # U+U - I flattened, so its diagonal is every (d + 1)th entry.
@@ -275,7 +266,7 @@ def to_rotation(m: MoebiusMap) -> RotationMatrix:
 
 
 # Maps are immutable, so the two fixed gates are built once and shared.
-_NOT, _HADAMARD = from_su2(0.0, 1j), make(1.0, 1.0, 1.0, -1.0)
+_NOT, _HADAMARD = from_su2(0.0, 1j), MoebiusMap(1.0, 1.0, 1.0, -1.0)
 
 # Every gate kind: (parameter count, builder from the float parameters).
 # The parser, GateTerm and the random terms of ``verify`` read kinds and
@@ -287,7 +278,7 @@ _GATES = {
     "roty": (1, lambda t: from_su2(math.cos(t / 2.0), math.sin(t / 2.0))),
     "rotz": (1, lambda t: from_su2(cmath.exp(-1j * t / 2.0), 0.0)),
     "su2": (4, lambda ar, ai, br, bi: from_su2(complex(ar, ai), complex(br, bi))),
-    "raw": (8, lambda *e: make(*(complex(e[k], e[k + 1]) for k in range(0, 8, 2)))),
+    "raw": (8, lambda *e: MoebiusMap(*(complex(e[k], e[k + 1]) for k in range(0, 8, 2)))),
 }
 _ALIASES = {"h": "hadamard", "rx": "rotx", "ry": "roty", "rz": "rotz"}
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .majorana import Constellation, QuditState, state_to_constellation
+from .majorana import Constellation
 from .sphere import chordal_distance, to_sphere
 
-__all__ = ["RenderSpec", "render_constellation_svg", "render_state_svg"]
+__all__ = ["RenderSpec", "render_constellation_svg"]
 
 _MERGE_TOL = 1e-6
 
@@ -117,7 +117,3 @@ def render_constellation_svg(constellation: Constellation,
     parts.extend(labels)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def render_state_svg(state: QuditState, spec: RenderSpec = RenderSpec()) -> str:
-    return render_constellation_svg(state_to_constellation(state), spec)

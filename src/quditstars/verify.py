@@ -17,7 +17,7 @@ identities keep their own tighter bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,7 +49,6 @@ from .moebius import (
     from_su2,
     inverse,
     lift_to_unitary,
-    make,
     phase_aligned_distance,
     projective_distance,
     standard_gate,
@@ -120,13 +119,7 @@ class SuiteReport:
         return all(p.failures == 0 for p in self.properties)
 
     def to_doc(self) -> dict:
-        return {"properties": [
-            {"name": p.name,
-             "trials": p.trials,
-             "passes": p.passes,
-             "worst_deviation": p.worst_deviation,
-             "counterexamples": list(p.counterexamples)}
-            for p in self.properties]}
+        return asdict(self)
 
 
 # -- root cross-checks -----------------------------------------------------
@@ -143,17 +136,18 @@ def oracle_roots(poly: MajoranaPolynomial) -> Constellation:
     return _constellation(poly.dim, _companion_roots(coeffs[: _effective_degree(coeffs) + 1]))
 
 
-def equivariance_trial(m: MoebiusMap, state: QuditState, tol: float):
+def equivariance_trial(m: MoebiusMap, state: QuditState):
     """Check lift-then-roots against roots-then-Moebius on one instance.
 
-    Returns (passed, worst matched chordal distance); a map that is not
-    special-unitary raises NotUnitary from ``lift_to_unitary``.
+    Returns (passed, worst matched chordal distance), passing at a distance
+    of at most 1e-8; a map that is not special-unitary raises NotUnitary
+    from ``lift_to_unitary``.
     """
     lifted = lift_to_unitary(m, state.dim)
     via_hilbert = state_to_constellation(QuditState(tuple(lifted.apply(state.as_vector()))))
     via_sphere = transform_constellation(m, state_to_constellation(state))
     _, worst = constellation_pairing(via_hilbert, via_sphere)
-    return worst <= tol, worst
+    return worst <= _MATCH_TOL, worst
 
 
 # -- random instance generators ---------------------------------------------
@@ -169,7 +163,7 @@ def random_su2(rng: np.random.Generator) -> MoebiusMap:
 
 
 def _random_moebius(rng: np.random.Generator) -> MoebiusMap:
-    return make(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    return MoebiusMap(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
 
 
 def _random_point(rng: np.random.Generator) -> ExtendedComplex:
@@ -304,7 +298,7 @@ def _prop_basis_constellations(rng, dim):
 
 def _prop_group_laws(rng, dim):
     m1, m2, m3 = (_random_moebius(rng) for _ in range(3))
-    ident = make(1.0, 0.0, 0.0, 1.0)
+    ident = MoebiusMap(1.0, 0.0, 0.0, 1.0)
     dev = max(
         projective_distance(compose(compose(m1, m2), m3), compose(m1, compose(m2, m3))),
         projective_distance(compose(m1, inverse(m1)), ident),
@@ -316,7 +310,7 @@ def _prop_group_laws(rng, dim):
 def _prop_central_equivariance(rng, dim):
     m = random_su2(rng)
     psi = random_state(rng, dim)
-    _, worst = equivariance_trial(m, psi, _MATCH_TOL)
+    _, worst = equivariance_trial(m, psi)
     return worst, _MATCH_TOL, {"map": moebius_to_doc(m), "state": state_to_doc(psi)}
 
 

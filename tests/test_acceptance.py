@@ -31,7 +31,6 @@ from quditstars.moebius import (
     MoebiusMap,
     compose,
     lift_to_unitary,
-    make,
     standard_gate,
     to_rotation,
     transform_constellation,
@@ -75,9 +74,9 @@ def test_criterion_01_qutrit_not():
 
 def test_criterion_02_hadamard_pair():
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    dev_main = max_entry_after_phase(lift_to_unitary(make(1, 1, 1, -1), 2).matrix, h)
+    dev_main = max_entry_after_phase(lift_to_unitary(MoebiusMap(1, 1, 1, -1), 2).matrix, h)
     literal = np.array([[1, -1], [1, 1]]) / math.sqrt(2)
-    dev_lit = max_entry_after_phase(lift_to_unitary(make(1, -1, 1, 1), 2).matrix, literal)
+    dev_lit = max_entry_after_phase(lift_to_unitary(MoebiusMap(1, -1, 1, 1), 2).matrix, literal)
     ok = dev_main <= 1e-10 and dev_lit <= 1e-10
     report(2, "(z+1)/(z-1) lifts to Hadamard; (z-1)/(z+1) to its row-flip", ok,
            f"devs {dev_main:.2e} / {dev_lit:.2e}")
@@ -102,7 +101,7 @@ def test_criterion_04_central_equivariance():
     t0 = time.perf_counter()
     for dim in range(2, 9):
         for _ in range(200):
-            _, dev = equivariance_trial(random_su2(rng), random_state(rng, dim), 1e-8)
+            _, dev = equivariance_trial(random_su2(rng), random_state(rng, dim))
             worst = max(worst, dev)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0

@@ -409,6 +409,12 @@ def test_bad_json_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["roots", "--state", str(bad), "--out", str(tmp_path / "o.json")]) == 1
     assert "error:" in capsys.readouterr().err
+    # Nesting past the parser's recursion limit is one line naming the file.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["roots", "--state", str(deep), "--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(deep) in err and err.count("\n") == 1
 
 
 def test_syntax_error_in_program(tmp_path, capsys):

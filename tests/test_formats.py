@@ -6,7 +6,7 @@ import pytest
 
 from quditstars import formats
 from quditstars.majorana import Constellation, QuditState
-from quditstars.moebius import lift_to_unitary, make, standard_gate, to_rotation
+from quditstars.moebius import MoebiusMap, lift_to_unitary, standard_gate, to_rotation
 from quditstars.sphere import INFINITY, ExtendedComplex, SpherePoint
 
 
@@ -103,7 +103,7 @@ class TestConstellationDocs:
 class TestMapDocs:
     def test_round_trip(self):
         # Loading re-normalizes to determinant 1, which may shift last ulps.
-        m = make(1, 2j, -0.5, 1 + 1j)
+        m = MoebiusMap(1, 2j, -0.5, 1 + 1j)
         m2 = formats.moebius_from_doc(formats.moebius_to_doc(m))
         np.testing.assert_allclose(m2.matrix, m.matrix, atol=1e-15)
 

@@ -18,15 +18,15 @@ from quditstars.gatescript import (
 from quditstars.moebius import (
     _ALIASES,
     _GATES,
+    MoebiusMap,
     apply_point,
     compose,
     from_su2,
-    make,
     projectively_equal,
     standard_gate,
 )
 
-IDENT = make(1, 0, 0, 1)
+IDENT = MoebiusMap(1, 0, 0, 1)
 
 
 @pytest.mark.parametrize("source,expected", script_corpus.VALID,
@@ -54,7 +54,7 @@ def test_two_term_program_shape():
 
 def test_raw_term_is_the_expected_map():
     gate = compile_source("raw(1,0, 1,0, 1,0, -1,0)")
-    assert projectively_equal(gate, make(1, 1, 1, -1))
+    assert projectively_equal(gate, MoebiusMap(1, 1, 1, -1))
 
 
 def test_positions_attached_to_terms():
@@ -92,7 +92,7 @@ class TestCompile:
 
     def test_nonunitary_allowed_when_asked(self):
         gate = compile_source("raw(2,0, 0,0, 0,0, 1,0)", allow_nonunitary=True)
-        assert projectively_equal(gate, make(2, 0, 0, 1))
+        assert projectively_equal(gate, MoebiusMap(2, 0, 0, 1))
 
     def test_singular_raw_rejected(self):
         for entry in ("1", "1e200", "1e-170"):
@@ -103,9 +103,9 @@ class TestCompile:
     def test_su2_term(self):
         # arguments are (a_re, a_im, b_re, b_im)
         gate = compile_source("su2(0.6, 0, 0, 0.8)")
-        assert projectively_equal(gate, make(0.6, 0.8j, 0.8j, 0.6))
+        assert projectively_equal(gate, MoebiusMap(0.6, 0.8j, 0.8j, 0.6))
         gate = compile_source("su2(0.6, 0, 0.8, 0)")
-        assert projectively_equal(gate, make(0.6, 0.8, -0.8, 0.6))
+        assert projectively_equal(gate, MoebiusMap(0.6, 0.8, -0.8, 0.6))
 
     def test_compose_law_for_term_pairs(self):
         sources = ["not", "h", "rotx(0.3)", "rotz(-1.2)", "su2(1,2,3,4)",
@@ -161,7 +161,7 @@ class TestGateTable:
     def test_su2_and_raw_entries(self):
         a, b, c, d = 0.3 - 0.7j, 1.1 + 0.2j, 0.5 - 0.4j, 0.9 + 1.3j
         assert standard_gate("su2", *self.ARGS[:4]) == from_su2(a, b)
-        assert standard_gate("raw", *self.ARGS) == make(a, b, c, d)
+        assert standard_gate("raw", *self.ARGS) == MoebiusMap(a, b, c, d)
 
     def test_underscores_only_outside_scripts(self):
         assert projectively_equal(standard_gate("rot_x", 0.3), standard_gate("rx", 0.3))

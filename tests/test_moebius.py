@@ -28,7 +28,6 @@ from quditstars.moebius import (
     inverse,
     is_special_unitary,
     lift_to_unitary,
-    make,
     phase_aligned_distance,
     projectively_equal,
     standard_gate,
@@ -39,9 +38,9 @@ from quditstars.sphere import INFINITY, ExtendedComplex, to_sphere
 from quditstars.verify import random_state, random_su2
 from test_majorana import bits
 
-IDENT = make(1, 0, 0, 1)
-RECIP = make(0, 1, 1, 0)            # z -> 1/z
-HADAMARD_MAP = make(1, 1, 1, -1)    # z -> (z+1)/(z-1)
+IDENT = MoebiusMap(1, 0, 0, 1)
+RECIP = MoebiusMap(0, 1, 1, 0)            # z -> 1/z
+HADAMARD_MAP = MoebiusMap(1, 1, 1, -1)    # z -> (z+1)/(z-1)
 
 
 def map_bits(m):
@@ -65,17 +64,17 @@ class TestConstruction:
         # ad - bc of (1e200, 1, 0, 1) is 1e-200 of the largest entry squared.
         for entries in ((1, 1, 1, 1), (1e200, 1, 0, 1)):
             with pytest.raises(SingularMatrix):
-                make(*entries)
+                MoebiusMap(*entries)
 
     def test_tiny_identity(self):
-        assert projectively_equal(make(1e-170, 0, 0, 1e-170), IDENT)
+        assert projectively_equal(MoebiusMap(1e-170, 0, 0, 1e-170), IDENT)
         # Maps are built at unit scale: a power of two keeping parts normal changes no bit.
         rng = np.random.default_rng(8)
         for _ in range(20):
             e = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             for k in (-1000, -1, 3, 1000):
                 scaled = (complex(v.real * 2.0 ** k, v.imag * 2.0 ** k) for v in e)
-                assert map_bits(make(*scaled)) == map_bits(make(*e))
+                assert map_bits(MoebiusMap(*scaled)) == map_bits(MoebiusMap(*e))
 
     def test_su2_identity(self):
         assert projectively_equal(from_su2(1, 0), IDENT)
@@ -92,7 +91,7 @@ class TestConstruction:
             for k in (-1000, -1, 3, 1000):
                 assert map_bits(from_su2(a * 2.0 ** k, b * 2.0 ** k)) == map_bits(from_su2(a, b))
 
-    @pytest.mark.parametrize("build", [make, MoebiusMap])
+    @pytest.mark.parametrize("build", [MoebiusMap])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", range(8))  # re and im of a, b, c, d
     def test_nonfinite_rejected(self, build, bad, slot):
@@ -124,11 +123,7 @@ class TestApplyPoint:
         assert apply_point(HADAMARD_MAP, INFINITY).finite == pytest.approx(1.0)
 
     def test_infinity_with_zero_c(self):
-        assert apply_point(make(2, 1, 0, 1), INFINITY).is_infinite
-
-    def test_call_is_apply_point(self):
-        for z in (0, 2 - 1j, INFINITY):
-            assert HADAMARD_MAP(z) == apply_point(HADAMARD_MAP, z)
+        assert apply_point(MoebiusMap(2, 1, 0, 1), INFINITY).is_infinite
 
     def test_huge_argument(self):
         got = apply_point(HADAMARD_MAP, 1e200)
@@ -137,7 +132,7 @@ class TestApplyPoint:
 
 class TestGroup:
     def test_inverse_both_sides(self):
-        m = make(2, 1j, -1, 0.5)
+        m = MoebiusMap(2, 1j, -1, 0.5)
         assert projectively_equal(compose(m, inverse(m)), IDENT)
         assert projectively_equal(compose(inverse(m), m), IDENT)
 
@@ -148,7 +143,7 @@ class TestGroup:
         assert projectively_equal(compose(HADAMARD_MAP, HADAMARD_MAP), IDENT)
 
     def test_compose_acts_right_to_left(self):
-        m1, m2 = make(1, 2, 0, 1), make(0, 1, 1, 0)
+        m1, m2 = MoebiusMap(1, 2, 0, 1), MoebiusMap(0, 1, 1, 0)
         z = ExtendedComplex(0.3 - 0.4j)
         lhs = apply_point(compose(m1, m2), z)
         rhs = apply_point(m1, apply_point(m2, z))
@@ -157,7 +152,7 @@ class TestGroup:
     def test_associativity(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            a, b, c = (make(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+            a, b, c = (MoebiusMap(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
                        for _ in range(3))
             assert projectively_equal(compose(compose(a, b), c),
                                       compose(a, compose(b, c)))
@@ -166,10 +161,10 @@ class TestGroup:
 class TestSpecialUnitary:
     def test_su2_members(self):
         assert is_special_unitary(from_su2(3 / 5, 4j / 5))
-        assert is_special_unitary(make(0, 1, 1, 0))
+        assert is_special_unitary(MoebiusMap(0, 1, 1, 0))
 
     def test_squeeze_is_not(self):
-        assert not is_special_unitary(make(2, 0, 0, 0.5))
+        assert not is_special_unitary(MoebiusMap(2, 0, 0, 0.5))
 
     def test_hadamard_map_is(self):
         assert is_special_unitary(HADAMARD_MAP)
@@ -217,7 +212,7 @@ class TestLift:
 
     def test_rejects_nonunitary(self):
         with pytest.raises(NotUnitary):
-            lift_to_unitary(make(2, 0, 0, 0.5), 3)
+            lift_to_unitary(MoebiusMap(2, 0, 0, 0.5), 3)
 
     def test_rejects_dim_below_two(self):
         with pytest.raises(ValueError, match="dim must be >= 2"):
@@ -353,7 +348,7 @@ class TestRotation:
         m = standard_gate("su2", 0.3, 0.1, -0.7, 0.2)
         for z in (0, 1.5 - 0.5j, INFINITY):
             np.testing.assert_allclose(to_rotation(m).apply(to_sphere(z)).as_tuple(),
-                                       to_sphere(m(z)).as_tuple(), atol=1e-14)
+                                       to_sphere(apply_point(m, z)).as_tuple(), atol=1e-14)
 
     def test_rot_z_fixes_z_axis(self):
         r = to_rotation(standard_gate("rot_z", 1.1)).matrix
@@ -382,7 +377,7 @@ class TestRotation:
 
     def test_rejects_nonunitary(self):
         with pytest.raises(NotUnitary):
-            to_rotation(make(2, 0, 0, 0.5))
+            to_rotation(MoebiusMap(2, 0, 0, 0.5))
 
 
 class TestStandardGates:

@@ -1,7 +1,7 @@
 import pytest
 
-from quditstars.majorana import Constellation, QuditState
-from quditstars.render import RenderSpec, render_constellation_svg, render_state_svg
+from quditstars.majorana import Constellation, QuditState, state_to_constellation
+from quditstars.render import RenderSpec, render_constellation_svg
 from quditstars.sphere import INFINITY, ExtendedComplex
 
 
@@ -65,4 +65,5 @@ def test_size_validation():
 
 def test_state_render_matches_constellation_render():
     psi = QuditState((0, 1, 0))
-    assert render_state_svg(psi) == render_constellation_svg(const(3, 0, "inf"))
+    assert (render_constellation_svg(state_to_constellation(psi))
+            == render_constellation_svg(const(3, 0, "inf")))

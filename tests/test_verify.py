@@ -15,7 +15,7 @@ from quditstars.majorana import (
     find_roots,
     state_to_polynomial,
 )
-from quditstars.moebius import make, standard_gate
+from quditstars.moebius import MoebiusMap, standard_gate
 from quditstars.sphere import ExtendedComplex, chordal_distance
 from quditstars.verify import (
     SuiteConfig,
@@ -94,24 +94,24 @@ class TestOracle:
 class TestEquivarianceTrial:
     def test_identity_map(self):
         rng = np.random.default_rng(1)
-        ok, dev = equivariance_trial(make(1, 0, 0, 1), random_state(rng, 4), 1e-8)
+        ok, dev = equivariance_trial(MoebiusMap(1, 0, 0, 1), random_state(rng, 4))
         assert ok and dev <= 1e-12
 
     def test_not_gate_on_qutrit_level_one(self):
-        ok, dev = equivariance_trial(standard_gate("not"), basis_state(3, 1), 1e-8)
+        ok, dev = equivariance_trial(standard_gate("not"), basis_state(3, 1))
         assert ok and dev <= 1e-12
 
     def test_random_dim7(self):
         from quditstars.verify import random_su2
 
         rng = np.random.default_rng(2)
-        ok, dev = equivariance_trial(random_su2(rng), random_state(rng, 7), 1e-8)
+        ok, dev = equivariance_trial(random_su2(rng), random_state(rng, 7))
         assert ok and dev <= 1e-8
 
     def test_rejects_nonunitary(self):
         rng = np.random.default_rng(3)
         with pytest.raises(NotUnitary):
-            equivariance_trial(make(2, 0, 0, 0.5), random_state(rng, 3), 1e-8)
+            equivariance_trial(MoebiusMap(2, 0, 0, 0.5), random_state(rng, 3))
 
 
 class TestSuite:
