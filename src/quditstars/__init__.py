@@ -29,7 +29,7 @@ _EXPORTS = {
                 "from_su2", "inverse", "is_special_unitary", "lift_to_unitary",
                 "phase_aligned_distance", "projective_distance", "projectively_equal",
                 "standard_gate", "to_rotation", "transform_constellation"),
-    "render": ("RenderSpec", "render_constellation_svg"),
+    "render": ("render_constellation_svg",),
     "sphere": ("INFINITY", "ExtendedComplex", "SpherePoint", "antipode", "as_point",
                "chordal_distance", "to_plane", "to_sphere"),
     "verify": ("SuiteConfig", "SuiteReport", "equivariance_trial", "oracle_roots",

@@ -106,10 +106,14 @@ def _program_source(args) -> str:
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(v) for v in text.split(","))
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--dims must be a range 'A..B' or a comma list of integers, "
+                         f"got {text!r}") from None
 
 
 def _cmd_roots(args) -> int:
@@ -162,7 +166,7 @@ def _cmd_render(args) -> int:
             formats.state_from_doc(formats.load_doc(args.state)))
     else:
         constellation = formats.constellation_from_doc(formats.load_doc(args.constellation))
-    svg = _module.render_constellation_svg(constellation, _module.RenderSpec(size=args.size))
+    svg = _module.render_constellation_svg(constellation, args.size)
     Path(args.out).write_text(svg, encoding="utf-8")
     return 0
 

@@ -74,6 +74,8 @@ def save_doc(path, doc) -> None:
 def load_doc(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     except RecursionError:  # the parser recurses once per nested array or object
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 

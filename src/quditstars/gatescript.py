@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ArityError, GateSyntaxError, NonUnitaryGate
 from .moebius import _ALIASES, _GATES, MoebiusMap, compose, is_special_unitary
@@ -42,9 +42,6 @@ class GateTerm:
 
     kind: str
     args: tuple[float, ...] = ()
-    # Source position (1-based line, column); ignored by equality so that
-    # parse(render(program)) == program holds on the value level.
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _GATES:
@@ -138,10 +135,9 @@ class _Parser:
         kind = _ALIASES.get(name, name)
         if kind not in _GATES:
             self.fail(f"unknown gate {tok[1]!r}", tok)
-        pos = self.position(tok[2])
         arity = _GATES[kind][0]
         if arity == 0:
-            return GateTerm(kind, (), pos=pos)
+            return GateTerm(kind)
         self.expect("(", "'('")
         args = []
         if self.tokens[self.index][0] != ")":
@@ -151,8 +147,9 @@ class _Parser:
                 args.append(self.number())
         self.expect(")", "')'")
         if len(args) != arity:
-            raise ArityError(f"{kind} takes {arity} argument(s), got {len(args)}", *pos)
-        return GateTerm(kind, tuple(args), pos=pos)
+            raise ArityError(f"{kind} takes {arity} argument(s), got {len(args)}",
+                             *self.position(tok[2]))
+        return GateTerm(kind, tuple(args))
 
     def number(self) -> float:
         tokens = self.tokens

@@ -359,6 +359,15 @@ def test_render_deterministic(tmp_path):
     assert out1.read_text().startswith("<?xml")
 
 
+def test_render_size_below_64_is_one_line_error(tmp_path, capsys):
+    state = write_state(tmp_path / "s.json", (1, 0, 1))
+    out = tmp_path / "s.svg"
+    assert main(["render", "--state", state, "--out", str(out), "--size", "63"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "64" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_render_constellation_input(tmp_path):
     state = write_state(tmp_path / "s.json", (1, 0, 1))
     croots = tmp_path / "c.json"
@@ -398,6 +407,15 @@ def test_verify_dims_forms(tmp_path):
                      "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("dims", ["a", "2..b", "2,x"])
+def test_verify_bad_dims_names_the_option(tmp_path, capsys, dims):
+    assert main(["verify", "--dims", dims, "--trials", "1", "--seed", "1",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--dims" in err and "A..B" in err and "comma list" in err
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["roots", "--state", missing, "--out", str(tmp_path / "o.json")]) == 1
@@ -408,7 +426,8 @@ def test_bad_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["roots", "--state", str(bad), "--out", str(tmp_path / "o.json")]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     # Nesting past the parser's recursion limit is one line naming the file.
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)

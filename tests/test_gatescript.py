@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 import quditstars
 import quditstars.render as quditstars_render
 import script_corpus
-from quditstars.errors import GateSyntaxError, NonUnitaryGate, ScriptError, SingularMatrix
+from quditstars.errors import (
+    ArityError,
+    GateSyntaxError,
+    NonUnitaryGate,
+    ScriptError,
+    SingularMatrix,
+)
 from quditstars.gatescript import (
     GateProgram,
     GateTerm,
@@ -57,11 +63,11 @@ def test_raw_term_is_the_expected_map():
     assert projectively_equal(gate, MoebiusMap(1, 1, 1, -1))
 
 
-def test_positions_attached_to_terms():
-    for source in ("not ;\n  h", "not ;\r\n\t h"):
-        program = parse(source)
-        assert program.terms[0].pos == (1, 1)
-        assert program.terms[1].pos == (2, 3)
+def test_arity_error_position_counts_line_breaks():
+    for source in ("not ;\n  rx()", "not ;\r\n\t rx()"):
+        with pytest.raises(ArityError) as info:
+            parse(source)
+        assert (info.value.line, info.value.column) == (2, 3)
 
 
 def test_positions_do_not_affect_equality():

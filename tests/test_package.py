@@ -20,7 +20,7 @@ EXPORTS = {
                 "from_su2", "inverse", "is_special_unitary", "lift_to_unitary",
                 "phase_aligned_distance", "projective_distance", "projectively_equal",
                 "standard_gate", "to_rotation", "transform_constellation"],
-    "render": ["RenderSpec", "render_constellation_svg"],
+    "render": ["render_constellation_svg"],
     "sphere": ["INFINITY", "ExtendedComplex", "SpherePoint", "antipode", "as_point",
                "chordal_distance", "to_plane", "to_sphere"],
     "verify": ["SuiteConfig", "SuiteReport", "equivariance_trial", "oracle_roots", "run_suite"],
@@ -29,7 +29,7 @@ NAMES = {name: module for module, names in EXPORTS.items() for name in names}
 
 
 def test_exports_are_pinned():
-    assert len(NAMES) == 61
+    assert len(NAMES) == 60
     assert sorted(quditstars.__all__) == sorted(NAMES)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from quditstars.majorana import Constellation, QuditState, state_to_constellation
-from quditstars.render import RenderSpec, render_constellation_svg
+from quditstars.render import render_constellation_svg
 from quditstars.sphere import INFINITY, ExtendedComplex
 
 
@@ -44,23 +44,14 @@ def test_distinct_points_do_not_merge():
     assert svg.count('r="6.00"') == 2
 
 
-def test_side_view_draws_equator_line():
-    svg = render_constellation_svg(const(2, 1), RenderSpec(view="+x"))
-    assert "<line" in svg
-
-
 def test_size_flows_through():
-    svg = render_constellation_svg(const(2, 1), RenderSpec(size=256))
+    svg = render_constellation_svg(const(2, 1), 256)
     assert 'width="256"' in svg
 
 
 def test_size_validation():
     with pytest.raises(ValueError):
-        RenderSpec(size=32)
-    with pytest.raises(ValueError):
-        RenderSpec(view="+w")
-    with pytest.raises(ValueError):
-        RenderSpec(point_radius=0)
+        render_constellation_svg(const(2, 1), 32)
 
 
 def test_state_render_matches_constellation_render():
