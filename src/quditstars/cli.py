@@ -101,7 +101,7 @@ def _add_program_args(p: argparse.ArgumentParser) -> None:
 def _program_source(args) -> str:
     if args.program is not None:
         return args.program
-    return Path(args.program_file).read_text(encoding="utf-8")
+    return formats.read_text(args.program_file)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:

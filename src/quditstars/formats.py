@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -20,13 +19,14 @@ import numpy as np
 from .majorana import Constellation, QuditState
 from .sphere import INFINITY, ExtendedComplex
 
-if TYPE_CHECKING:  # the map readers import moebius when first called
+if TYPE_CHECKING:  # the map writers only read attributes of moebius's types
     from .moebius import MoebiusMap, RotationMatrix, UnitaryMatrix
 
 __all__ = [
     "format_real",
     "dumps_canonical",
     "save_doc",
+    "read_text",
     "load_doc",
     "state_to_doc",
     "state_from_doc",
@@ -35,9 +35,7 @@ __all__ = [
     "constellation_to_doc",
     "constellation_from_doc",
     "moebius_to_doc",
-    "moebius_from_doc",
     "unitary_to_doc",
-    "unitary_from_doc",
     "rotation_to_doc",
     "sphere_points_to_csv",
     "sphere_points_to_doc",
@@ -71,9 +69,17 @@ def save_doc(path, doc) -> None:
     Path(path).write_text(dumps_canonical(doc) + "\n", encoding="utf-8")
 
 
+def read_text(path) -> str:
+    """The file's text as UTF-8; a file that is not UTF-8 names itself in the error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def load_doc(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
     except RecursionError:  # the parser recurses once per nested array or object
@@ -154,28 +160,9 @@ def moebius_to_doc(m: MoebiusMap) -> dict:
     return {"a": _pair(m.a), "b": _pair(m.b), "c": _pair(m.c), "d": _pair(m.d)}
 
 
-def moebius_from_doc(doc) -> MoebiusMap:
-    from .moebius import MoebiusMap
-
-    entries = [_complex_from(_require(doc, k, "moebius map"), f"entry {k!r}")
-               for k in ("a", "b", "c", "d")]
-    return MoebiusMap(*entries)
-
-
 def unitary_to_doc(u: UnitaryMatrix) -> dict:
     return {"dim": u.dim,
             "rows": [[_pair(v) for v in row] for row in u.matrix.tolist()]}
-
-
-def unitary_from_doc(doc) -> UnitaryMatrix:
-    from .moebius import UnitaryMatrix
-
-    dim, rows = _dim_and_list(doc, "unitary", "rows", 0, "rows")
-    mat = [[_complex_from(v, "matrix entry") for v in row] for row in rows
-           if isinstance(row, Iterable)]  # a scalar row drops out and fails the count
-    if len(mat) != dim or any(len(row) != dim for row in mat):
-        raise ValueError(f"unitary rows must each have {dim} entries")
-    return UnitaryMatrix(np.array(mat, dtype=complex))
 
 
 def rotation_to_doc(r: RotationMatrix) -> dict:

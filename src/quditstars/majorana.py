@@ -33,8 +33,7 @@ __all__ = [
     "constellation_to_state",
     "projective_fidelity",
     "bloch_vector",
-    "constellation_match",
-    "constellation_pairing",
+    "constellation_distance",
 ]
 
 # Leading amplitudes at or below this fraction of the largest amplitude
@@ -116,12 +115,6 @@ class MajoranaPolynomial:
 
     def as_vector(self) -> np.ndarray:
         return np.array(self.coefficients, dtype=complex)
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
 
 
 @dataclass(frozen=True)
@@ -401,25 +394,14 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def constellation_pairing(c1: Constellation, c2: Constellation):
-    """Minimum-cost perfect matching between the two root multisets.
+def constellation_distance(c1: Constellation, c2: Constellation) -> float:
+    """The largest chordal distance in a minimum-sum pairing of the roots.
 
-    Returns (pairs, worst) where pairs is a list of (index_in_c1,
-    index_in_c2, chordal_distance) in c1's order and worst is the largest
-    matched distance.  Optimal assignment, not greedy: near multiple roots a
-    greedy pairing can cross the cluster and overstate the distance.  The
-    method is ``_assignment``'s shortest augmenting paths on the matrix of
-    chordal distances.
+    ``_assignment`` minimises the sum of the chordal distances, not their
+    maximum, so this is not a bottleneck distance.  Optimal, not greedy: near
+    multiple roots a greedy pairing can cross the cluster and overstate it.
     """
     if c1.dim != c2.dim:
         raise DimensionMismatch(f"dims {c1.dim} and {c2.dim} differ")
     cost = _chordal_matrix(c1.roots, c2.roots)
-    pairs = [(i, int(j), float(cost[i, j])) for i, j in enumerate(_assignment(cost))]
-    worst = max(d for _, _, d in pairs)
-    return pairs, worst
-
-
-def constellation_match(c1: Constellation, c2: Constellation, tol: float) -> bool:
-    """True iff an optimal pairing matches every root within chordal tol."""
-    _, worst = constellation_pairing(c1, c2)
-    return worst <= tol
+    return float(cost[np.arange(len(cost)), _assignment(cost)].max())

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotUnitary, SingularMatrix, UnknownGate, ZeroInput
 from .majorana import Constellation, _unit_phase
-from .sphere import ExtendedComplex, SpherePoint, _point, _pow2, _spinor
+from .sphere import ExtendedComplex, _point, _pow2, _spinor
 
 __all__ = [
     "MoebiusMap",
@@ -207,9 +207,6 @@ class RotationMatrix:
             raise ValueError(f"not a rotation: orthogonality defect {defect:.3e}, det {det!r}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-
-    def apply(self, point: SpherePoint) -> SpherePoint:
-        return SpherePoint(*(self.matrix @ np.array(point.as_tuple())))
 
 
 @functools.lru_cache(maxsize=64)

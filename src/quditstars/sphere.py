@@ -67,16 +67,6 @@ class ExtendedComplex:
     def is_infinite(self) -> bool:
         return self.value is None
 
-    @property
-    def finite(self) -> complex:
-        """The finite complex value; raises on the point at infinity."""
-        if self.value is None:
-            raise ValueError("point at infinity has no finite value")
-        return self.value
-
-    def __complex__(self) -> complex:
-        return self.finite
-
     def __repr__(self) -> str:
         if self.value is None:
             return "ExtendedComplex(infinity)"
@@ -116,9 +106,6 @@ class SpherePoint:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
-
-    def __neg__(self) -> "SpherePoint":
-        return SpherePoint(-self.x, -self.y, -self.z)
 
 
 def _pow2(x: float) -> float:

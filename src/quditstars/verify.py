@@ -34,7 +34,7 @@ from .majorana import (
     _effective_degree,
     basis_state,
     bloch_vector,
-    constellation_pairing,
+    constellation_distance,
     constellation_to_state,
     find_roots,
     polynomial_to_state,
@@ -146,7 +146,7 @@ def equivariance_trial(m: MoebiusMap, state: QuditState):
     lifted = lift_to_unitary(m, state.dim)
     via_hilbert = state_to_constellation(QuditState(tuple(lifted.apply(state.as_vector()))))
     via_sphere = transform_constellation(m, state_to_constellation(state))
-    _, worst = constellation_pairing(via_hilbert, via_sphere)
+    worst = constellation_distance(via_hilbert, via_sphere)
     return worst <= _MATCH_TOL, worst
 
 
@@ -252,7 +252,7 @@ def _prop_scale_invariance(rng, dim):
     psi = random_state(rng, dim)
     scalar = (10.0 ** rng.uniform(-3.0, 3.0)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     scaled = QuditState(tuple(np.array(psi.amplitudes) * scalar))
-    _, worst = constellation_pairing(state_to_constellation(psi), state_to_constellation(scaled))
+    worst = constellation_distance(state_to_constellation(psi), state_to_constellation(scaled))
     return worst, 1e-9, {"state": state_to_doc(psi), "scalar": _pair(scalar)}
 
 
@@ -292,7 +292,7 @@ def _prop_basis_constellations(rng, dim):
     level = int(rng.integers(dim))
     expected = Constellation(dim, tuple([ExtendedComplex(0.0)] * level
                                         + [INFINITY] * (dim - 1 - level)))
-    _, worst = constellation_pairing(state_to_constellation(basis_state(dim, level)), expected)
+    worst = constellation_distance(state_to_constellation(basis_state(dim, level)), expected)
     return worst, 1e-12, {"state": state_to_doc(basis_state(dim, level))}
 
 
@@ -347,7 +347,7 @@ def _prop_not_involution(rng, dim):
 
 def _prop_oracle_agreement(rng, dim):
     poly, limit = _random_polynomial(rng, dim)
-    _, worst = constellation_pairing(find_roots(poly), oracle_roots(poly))
+    worst = constellation_distance(find_roots(poly), oracle_roots(poly))
     return worst, limit, {"state": state_to_doc(polynomial_to_state(poly))}
 
 

@@ -19,7 +19,7 @@ from quditstars.majorana import (
     MajoranaPolynomial,
     QuditState,
     bloch_vector,
-    constellation_pairing,
+    constellation_distance,
     constellation_to_state,
     find_roots,
     polynomial_to_state,
@@ -121,8 +121,8 @@ def test_criterion_05_round_trip_and_scale():
             scalar = ((10.0 ** rng.uniform(-3, 3))
                       * np.exp(1j * rng.uniform(0, 2 * np.pi)))
             scaled = QuditState(tuple(np.array(psi.amplitudes) * scalar))
-            _, dev = constellation_pairing(state_to_constellation(psi),
-                                           state_to_constellation(scaled))
+            dev = constellation_distance(state_to_constellation(psi),
+                                         state_to_constellation(scaled))
             worst_scale = max(worst_scale, dev)
     ok = worst_fid <= 1e-10 and worst_scale <= 1e-9
     report(5, "1000 states per d in 2..10: reconstruction and scale invariance", ok,
@@ -162,7 +162,7 @@ def test_criterion_06_root_finder_vs_oracle():
             poly = MajoranaPolynomial(tuple(coeffs))
             doubled = False
         found = find_roots(poly)
-        _, dev = constellation_pairing(found, oracle_roots(poly))
+        dev = constellation_distance(found, oracle_roots(poly))
         if doubled:
             n_doubled += 1
             worst_doubled = max(worst_doubled, dev)

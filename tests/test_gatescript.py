@@ -89,7 +89,7 @@ class TestCompile:
     def test_first_term_acts_first(self):
         # not sends 0 to infinity; hadamard then sends infinity to 1.
         gate = compile_source("not; h")
-        assert apply_point(gate, 0).finite == pytest.approx(1.0)
+        assert apply_point(gate, 0).value == pytest.approx(1.0)
 
     def test_nonunitary_rejected_by_default(self):
         with pytest.raises(NonUnitaryGate) as info:

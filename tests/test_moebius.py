@@ -12,8 +12,7 @@ from quditstars.majorana import (
     Constellation,
     QuditState,
     basis_state,
-    constellation_match,
-    constellation_pairing,
+    constellation_distance,
     constellation_to_state,
     projective_fidelity,
     state_to_constellation,
@@ -120,14 +119,14 @@ class TestApplyPoint:
                                              else ExtendedComplex(complex(z)))
 
     def test_hadamard_map_at_infinity(self):
-        assert apply_point(HADAMARD_MAP, INFINITY).finite == pytest.approx(1.0)
+        assert apply_point(HADAMARD_MAP, INFINITY).value == pytest.approx(1.0)
 
     def test_infinity_with_zero_c(self):
         assert apply_point(MoebiusMap(2, 1, 0, 1), INFINITY).is_infinite
 
     def test_huge_argument(self):
         got = apply_point(HADAMARD_MAP, 1e200)
-        assert got.finite == pytest.approx(1.0, abs=1e-12)
+        assert got.value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGroup:
@@ -147,7 +146,7 @@ class TestGroup:
         z = ExtendedComplex(0.3 - 0.4j)
         lhs = apply_point(compose(m1, m2), z)
         rhs = apply_point(m1, apply_point(m2, z))
-        assert abs(lhs.finite - rhs.finite) <= 1e-12
+        assert abs(lhs.value - rhs.value) <= 1e-12
 
     def test_associativity(self):
         rng = np.random.default_rng(3)
@@ -173,7 +172,7 @@ class TestSpecialUnitary:
 class TestTransformConstellation:
     def test_reciprocal_swaps_poles(self):
         c = transform_constellation(RECIP, const(3, 0, "inf"))
-        assert constellation_match(c, const(3, "inf", 0), 1e-12)
+        assert constellation_distance(c, const(3, "inf", 0)) <= 1e-12
 
     def test_identity(self):
         c0 = const(4, 1, -2j, "inf")
@@ -181,7 +180,7 @@ class TestTransformConstellation:
 
     def test_reciprocal_fixes_i_pair(self):
         c = transform_constellation(RECIP, const(3, 1j, -1j))
-        assert constellation_match(c, const(3, 1j, -1j), 1e-12)
+        assert constellation_distance(c, const(3, 1j, -1j)) <= 1e-12
 
 
 class TestLift:
@@ -240,7 +239,7 @@ class TestLift:
             lifted = QuditState(tuple(lift_to_unitary(m, dim).apply(psi.as_vector())))
             lhs = state_to_constellation(lifted)
             rhs = transform_constellation(m, state_to_constellation(psi))
-            _, worst = constellation_pairing(lhs, rhs)
+            worst = constellation_distance(lhs, rhs)
             assert worst <= 1e-8
 
 
@@ -347,7 +346,7 @@ class TestRotation:
     def test_apply_moves_sphere_points(self):
         m = standard_gate("su2", 0.3, 0.1, -0.7, 0.2)
         for z in (0, 1.5 - 0.5j, INFINITY):
-            np.testing.assert_allclose(to_rotation(m).apply(to_sphere(z)).as_tuple(),
+            np.testing.assert_allclose(to_rotation(m).matrix @ to_sphere(z).as_tuple(),
                                        to_sphere(apply_point(m, z)).as_tuple(), atol=1e-14)
 
     def test_rot_z_fixes_z_axis(self):
@@ -385,7 +384,7 @@ class TestStandardGates:
         assert apply_point(standard_gate("not"), 0).is_infinite
 
     def test_hadamard_sends_infinity_to_one(self):
-        assert apply_point(standard_gate("hadamard"), INFINITY).finite == pytest.approx(1.0)
+        assert apply_point(standard_gate("hadamard"), INFINITY).value == pytest.approx(1.0)
 
     def test_zero_angle_rotations_are_identity(self):
         for name in ("rot_x", "rot_y", "rot_z"):
