@@ -2,31 +2,43 @@
 
 Exit codes: 0 on success, 1 on domain errors (one-line diagnostic on
 stderr) and when a ``verify`` property fails, 2 on usage errors (argparse).
+
+A process runs one subcommand and exits, so ``console_main`` (the
+``quditstars`` script and ``python -m quditstars.cli``) turns the cyclic
+garbage collector off before the subcommand imports numpy and freezes the
+heap before the interpreter shuts down; otherwise the collector walks
+numpy's long-lived objects during the imports and again in the final
+collection at exit, just before the OS frees the whole heap.  This is safe
+because every output file is written and closed before ``main`` returns, the
+interpreter flushes stdout and stderr at exit, and nothing the CLI builds
+relies on a ``__del__`` inside a cycle; one ``main`` call leaves argparse's
+parser tree as its only cyclic garbage, whatever the subcommand's size.
+``main`` itself leaves the collector alone, so in-process callers keep it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
-from . import formats
-from .majorana import constellation_to_state, state_to_constellation
-
 __all__ = ["main", "console_main"]
 
-# The package's public names (its ``__all__``) resolve on first use, through
-# the package, which imports only the submodule that owns each; so a
-# subcommand imports only what it runs.  Any other name, such as the
-# package's ``__path__``, is not this module's.  A global lookup never
-# reaches the module ``__getattr__``, so the subcommands read these names as
-# ``_module.<name>``, which also sees a later rebinding of the attribute.
+# Library names -- the package's public names (its ``__all__``) and the
+# ``formats`` submodule -- resolve on first use, through the package, which
+# imports only the submodule that owns each; so importing this module loads
+# no library module, and a subcommand imports only what it runs.  Any other
+# name, such as the package's ``__path__``, is not this module's.  A global
+# lookup never reaches the module ``__getattr__``, so the subcommands read
+# these names as ``_module.<name>``, which also sees a later rebinding of
+# the attribute.
 _package = sys.modules[__package__]
 _module = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name not in _package.__all__:
+    if name != "formats" and name not in _package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(_package, name)
     return value
@@ -101,7 +113,15 @@ def _add_program_args(p: argparse.ArgumentParser) -> None:
 def _program_source(args) -> str:
     if args.program is not None:
         return args.program
-    return formats.read_text(args.program_file)
+    return _module.formats.read_text(args.program_file)
+
+
+def _read_state(path: str):
+    return _module.formats.state_from_doc(_module.formats.load_doc(path))
+
+
+def _read_constellation(path: str):
+    return _module.formats.constellation_from_doc(_module.formats.load_doc(path))
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -117,22 +137,23 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _cmd_roots(args) -> int:
-    constellation = state_to_constellation(formats.state_from_doc(formats.load_doc(args.state)))
-    formats.save_doc(args.out, formats.constellation_to_doc(constellation))
+    constellation = _module.state_to_constellation(_read_state(args.state))
+    _module.formats.save_doc(args.out, _module.formats.constellation_to_doc(constellation))
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    constellation = formats.constellation_from_doc(formats.load_doc(args.constellation))
-    formats.save_doc(args.out, formats.state_to_doc(constellation_to_state(constellation)))
+    state = _module.constellation_to_state(_read_constellation(args.constellation))
+    _module.formats.save_doc(args.out, _module.formats.state_to_doc(state))
     return 0
 
 
 def _cmd_transform(args) -> int:
-    state = formats.state_from_doc(formats.load_doc(args.state))
+    state = _read_state(args.state)
     gate = _module.compile_source(_program_source(args), allow_nonunitary=args.allow_nonunitary)
-    moved = _module.transform_constellation(gate, state_to_constellation(state))
-    formats.save_doc(args.out, formats.state_to_doc(constellation_to_state(moved)))
+    moved = _module.transform_constellation(gate, _module.state_to_constellation(state))
+    _module.formats.save_doc(args.out,
+                             _module.formats.state_to_doc(_module.constellation_to_state(moved)))
     return 0
 
 
@@ -140,32 +161,31 @@ def _cmd_lift(args) -> int:
     # Individual terms may be anything here; what must be special-unitary is
     # the compiled product, which lift_to_unitary checks itself.
     gate = _module.compile_source(_program_source(args), allow_nonunitary=True)
-    formats.save_doc(args.out, formats.unitary_to_doc(_module.lift_to_unitary(gate, args.dim)))
+    unitary = _module.lift_to_unitary(gate, args.dim)
+    _module.formats.save_doc(args.out, _module.formats.unitary_to_doc(unitary))
     return 0
 
 
 def _cmd_rotation(args) -> int:
     gate = _module.compile_source(_program_source(args), allow_nonunitary=True)
-    formats.save_doc(args.out, formats.rotation_to_doc(_module.to_rotation(gate)))
+    _module.formats.save_doc(args.out, _module.formats.rotation_to_doc(_module.to_rotation(gate)))
     return 0
 
 
 def _cmd_project(args) -> int:
-    constellation = formats.constellation_from_doc(formats.load_doc(args.constellation))
-    points = constellation.sphere_points()
+    points = _read_constellation(args.constellation).sphere_points()
     if args.format == "csv":
-        Path(args.out).write_text(formats.sphere_points_to_csv(points), encoding="utf-8")
+        Path(args.out).write_text(_module.formats.sphere_points_to_csv(points), encoding="utf-8")
     else:
-        formats.save_doc(args.out, formats.sphere_points_to_doc(points))
+        _module.formats.save_doc(args.out, _module.formats.sphere_points_to_doc(points))
     return 0
 
 
 def _cmd_render(args) -> int:
     if args.state is not None:
-        constellation = state_to_constellation(
-            formats.state_from_doc(formats.load_doc(args.state)))
+        constellation = _module.state_to_constellation(_read_state(args.state))
     else:
-        constellation = formats.constellation_from_doc(formats.load_doc(args.constellation))
+        constellation = _read_constellation(args.constellation)
     svg = _module.render_constellation_svg(constellation, args.size)
     Path(args.out).write_text(svg, encoding="utf-8")
     return 0
@@ -174,7 +194,7 @@ def _cmd_render(args) -> int:
 def _cmd_verify(args) -> int:
     config = _module.SuiteConfig(dims=_parse_dims(args.dims), trials=args.trials, seed=args.seed)
     report = _module.run_suite(config)
-    formats.save_doc(args.out, report.to_doc())
+    _module.formats.save_doc(args.out, report.to_doc())
     for prop in report.properties:
         print(f"{prop.name}: {prop.passes}/{prop.trials} passed "
               f"(worst deviation {prop.worst_deviation:.3e})")
@@ -193,7 +213,10 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

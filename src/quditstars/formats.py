@@ -106,11 +106,13 @@ def _require(doc, key: str, what: str):
 
 
 def _dim_and_list(doc, what: str, key: str, offset: int, noun: str):
-    # The one reader rule: an integer ``dim`` and a list of dim - offset items.
+    # The one reader rule: an integer ``dim`` >= 2 and a list of dim - offset items.
     dim = _require(doc, "dim", what)
     items = _require(doc, key, what)
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ValueError(f"{what} dim must be an integer, got {dim!r}")
+    if dim < 2:
+        raise ValueError(f"{what} dim must be >= 2, got {dim}")
     if not isinstance(items, list) or len(items) != dim - offset:
         raise ValueError(f"{what} needs exactly {dim - offset} {noun}")
     return dim, items

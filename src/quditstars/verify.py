@@ -92,6 +92,8 @@ class SuiteConfig:
             raise ValueError(f"dims must be nonempty integers >= 2, got {self.dims!r}")
         if int(self.trials) < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
+        if int(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -198,6 +199,59 @@ def test_import_loads_no_numpy_and_no_submodule():
     out = subprocess.run([sys.executable, "-c", code], env=library_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False ['quditstars']"
+
+
+def test_cli_import_loads_no_numpy_and_no_library_module():
+    # So console_main turns the collector off before numpy is imported.
+    code = ("import sys, quditstars.cli; "
+            "print('numpy' in sys.modules, 'argparse' in sys.modules, "
+            "sorted(m for m in sys.modules if 'quditstars' in m))")
+    out = subprocess.run([sys.executable, "-c", code], env=library_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False True ['quditstars', 'quditstars.cli']"
+
+
+def run_module(*argv, cwd):
+    return subprocess.run([sys.executable, "-m", "quditstars.cli", *argv], env=library_env(),
+                          cwd=cwd, capture_output=True, text=True)
+
+
+def test_module_entry_point(tmp_path):
+    state = write_state(tmp_path / "s.json", (1, 0.5j, 0.25, -0.75, 2j, 0.1, 0, 1, 0.3))
+    program = "h; rz(0.3); su2(1,2,3,4)"
+    run = run_module("transform", "--state", state, "--program", program, "--out", "sub.json",
+                     cwd=tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+    assert main(["transform", "--state", state, "--program", program,
+                 "--out", str(tmp_path / "inproc.json")]) == 0
+    assert (tmp_path / "sub.json").read_bytes() == (tmp_path / "inproc.json").read_bytes()
+
+    run = run_module("roots", "--state", "nope.json", "--out", "o.json", cwd=tmp_path)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+
+    assert run_module("roots", cwd=tmp_path).returncode == 2
+
+
+def test_console_main_runs_without_the_collector_and_freezes_the_heap(tmp_path):
+    state = write_state(tmp_path / "s.json", (1, 0.5j, 0.25))
+    # An atexit handler still runs, and sees the collector off and the heap frozen.
+    code = ("import atexit, gc, sys; from quditstars import cli; "
+            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)); "
+            "sys.argv[1:] = ['roots', '--state', sys.argv[1], '--out', 'c.json']; "
+            "cli.console_main()")
+    run = subprocess.run([sys.executable, "-c", code, state], env=library_env(), cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False True\n", "")
+    assert json.loads((tmp_path / "c.json").read_text())["dim"] == 3
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    enabled = gc.isenabled()
+    state = write_state(tmp_path / "s.json", (1, 0.5j, 0.25))
+    assert main(["roots", "--state", state, "--out", str(tmp_path / "c.json")]) == 0
+    assert gc.isenabled() == enabled
+    assert gc.get_freeze_count() == 0
 
 
 # The library modules each subcommand loads: only those it runs.

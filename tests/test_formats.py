@@ -76,6 +76,13 @@ class TestStateDocs:
         with pytest.raises(ValueError):
             formats.state_from_doc({"dim": 2, "amplitudes": [[1, 0], [0]]})
 
+    @pytest.mark.parametrize("dim", [-3, 0, 1])
+    def test_rejects_dim_below_2(self, dim):
+        # The rule, not the count it would imply, even when the count matches.
+        doc = {"dim": dim, "amplitudes": [[1, 0]] * max(dim, 0)}
+        with pytest.raises(ValueError, match=f"^state dim must be >= 2, got {dim}$"):
+            formats.state_from_doc(doc)
+
 
 class TestConstellationDocs:
     def test_round_trip_with_infinity(self):
@@ -87,6 +94,12 @@ class TestConstellationDocs:
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError):
             formats.constellation_from_doc({"dim": 4, "roots": [{"re": 0, "im": 0}]})
+
+    @pytest.mark.parametrize("dim", [-3, 0, 1])
+    def test_rejects_dim_below_2(self, dim):
+        doc = {"dim": dim, "roots": [{"re": 0, "im": 0}] * max(dim - 1, 0)}
+        with pytest.raises(ValueError, match=f"^constellation dim must be >= 2, got {dim}$"):
+            formats.constellation_from_doc(doc)
 
     def test_rejects_malformed_root(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,10 @@ class TestSuite:
         with pytest.raises(ValueError):
             SuiteConfig(dims=(2,), trials=0, seed=1)
 
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SuiteConfig(dims=(2,), trials=1, seed=-1)
+
     def test_single_trial_shape(self):
         report = run_suite(SuiteConfig(dims=(2,), trials=1, seed=42))
         assert all(p.trials == 1 for p in report.properties)
