@@ -20,15 +20,15 @@ _EXPORTS = {
                "SingularMatrix", "UnknownGate", "WrongDimension", "ZeroInput",
                "ZeroPolynomial"),
     "formats": (),
-    "gatescript": ("GateProgram", "GateTerm", "compile_program", "compile_source", "parse"),
+    "gatescript": ("GateProgram", "GateTerm", "compile_source", "parse"),
     "majorana": ("Constellation", "MajoranaPolynomial", "QuditState", "basis_state",
                  "bloch_vector", "constellation_distance", "constellation_to_state",
                  "find_roots", "polynomial_to_state", "projective_fidelity",
                  "state_to_constellation", "state_to_polynomial"),
     "moebius": ("MoebiusMap", "RotationMatrix", "UnitaryMatrix", "apply_point", "compose",
                 "from_su2", "inverse", "is_special_unitary", "lift_to_unitary",
-                "phase_aligned_distance", "projective_distance", "projectively_equal",
-                "standard_gate", "to_rotation", "transform_constellation"),
+                "phase_aligned_distance", "projective_distance", "standard_gate",
+                "to_rotation", "transform_constellation"),
     "render": ("render_constellation_svg",),
     "sphere": ("INFINITY", "ExtendedComplex", "SpherePoint", "antipode", "as_point",
                "chordal_distance", "to_plane", "to_sphere"),

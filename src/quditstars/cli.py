@@ -173,7 +173,7 @@ def _cmd_rotation(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    points = _read_constellation(args.constellation).sphere_points()
+    points = [_module.to_sphere(r) for r in _read_constellation(args.constellation).roots]
     if args.format == "csv":
         Path(args.out).write_text(_module.formats.sphere_points_to_csv(points), encoding="utf-8")
     else:

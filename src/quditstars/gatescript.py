@@ -32,7 +32,6 @@ __all__ = [
     "GateProgram",
     "parse",
     "render",
-    "compile_program",
     "compile_source",
 ]
 
@@ -197,13 +196,13 @@ def render(program: GateProgram) -> str:
     return "; ".join(_render_term(t) for t in program.terms)
 
 
-def compile_program(program: GateProgram, allow_nonunitary: bool = False) -> MoebiusMap:
-    """Fold a program into one map, first term acting first.
+def compile_source(source: str, allow_nonunitary: bool = False) -> MoebiusMap:
+    """Parse a program and fold it into one map, first term acting first.
 
     With allow_nonunitary false (the default), any term whose map is not
     special-unitary aborts compilation with NonUnitaryGate naming the term.
     """
-    for i, term in enumerate(program.terms):
+    for i, term in enumerate(parse(source).terms):
         # GateTerm has already resolved the name and checked the arity.
         m = _GATES[term.kind][1](*term.args)
         if not allow_nonunitary and not is_special_unitary(m):
@@ -213,7 +212,3 @@ def compile_program(program: GateProgram, allow_nonunitary: bool = False) -> Moe
                 f"to apply it to constellations anyway")
         result = compose(m, result) if i else m
     return result
-
-
-def compile_source(source: str, allow_nonunitary: bool = False) -> MoebiusMap:
-    return compile_program(parse(source), allow_nonunitary)

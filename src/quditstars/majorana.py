@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, WrongDimension, ZeroPolynomial
-from .sphere import INFINITY, ExtendedComplex, SpherePoint, _pow2, _spinor, as_point, to_sphere
+from .sphere import INFINITY, ExtendedComplex, SpherePoint, _pow2, _spinor, as_point
 
 __all__ = [
     "QuditState",
@@ -49,6 +50,15 @@ def _validated_amplitudes(amps: tuple[complex, ...], what: str) -> tuple[complex
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise ValueError(f"{what} entries must be finite, got {a!r}")
     return amps
+
+
+def _integer(value, what: str) -> int:
+    """value by ``operator.index``: numpy integers pass, and a float or a string
+    raises TypeError naming ``what`` where ``int`` would truncate or parse it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -125,7 +135,7 @@ class Constellation:
     roots: tuple[ExtendedComplex, ...]
 
     def __post_init__(self):
-        d = int(self.dim)
+        d = _integer(self.dim, "Constellation dim")
         if d < 2:
             raise ValueError(f"Constellation dim must be >= 2, got {d}")
         roots = tuple(as_point(r) for r in self.roots)
@@ -133,9 +143,6 @@ class Constellation:
             raise ValueError(f"expected {d - 1} roots for dim {d}, got {len(roots)}")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "roots", roots)
-
-    def sphere_points(self) -> tuple[SpherePoint, ...]:
-        return tuple(to_sphere(r) for r in self.roots)
 
 
 def basis_state(dim: int, level: int) -> QuditState:
@@ -190,8 +197,6 @@ def _companion_roots(coeffs: np.ndarray) -> list[complex]:
     m = len(coeffs) - 1
     if m == 0:
         return []
-    if m == 1:
-        return [complex(-coeffs[0] / coeffs[1])]
     comp = np.eye(m, k=-1, dtype=complex)
     comp[:, -1] -= np.asarray(coeffs[:-1], dtype=complex) / coeffs[-1]
     return np.linalg.eigvals(comp).tolist()

@@ -32,7 +32,6 @@ __all__ = [
     "inverse",
     "is_special_unitary",
     "projective_distance",
-    "projectively_equal",
     "transform_constellation",
     "lift_to_unitary",
     "to_rotation",
@@ -53,7 +52,7 @@ class MoebiusMap:
 
     Maps are projective: matrices equal up to a nonzero scalar describe the
     same transformation (after the determinant-1 normalization a residual
-    global sign remains; compare with ``projectively_equal``).
+    global sign remains; compare with ``projective_distance``).
     """
 
     a: complex
@@ -137,11 +136,6 @@ def projective_distance(m1: MoebiusMap, m2: MoebiusMap) -> float:
     v2 = np.array([m2.a, m2.b, m2.c, m2.d])
     s = np.vdot(v2, v1) / np.vdot(v2, v2)
     return float(np.linalg.norm(v1 - s * v2) / np.linalg.norm(v1))
-
-
-def projectively_equal(m1: MoebiusMap, m2: MoebiusMap) -> bool:
-    """Equality up to a nonzero complex scalar: ``projective_distance`` at most 1e-12."""
-    return projective_distance(m1, m2) <= 1e-12
 
 
 def transform_constellation(m: MoebiusMap, constellation: Constellation) -> Constellation:
@@ -285,14 +279,13 @@ def standard_gate(name: str, *params: float) -> MoebiusMap:
 
     Kinds: not, hadamard, rotx(t), roty(t), rotz(t) (radians),
     su2(a_re, a_im, b_re, b_im) and raw(a_re, a_im, ..., d_re, d_im), with
-    the script aliases h, rx, ry, rz.  Names are case-insensitive and, unlike
-    in scripts, may contain underscores (``rot_x``).
+    the script aliases h, rx, ry, rz.  Names are read as in scripts:
+    case-insensitive, with no other spelling (``rot_x`` is unknown).
 
     ``hadamard`` is the map z -> (z + 1)/(z - 1), whose dim-2 lift is exactly
     the Hadamard matrix up to global phase.
     """
-    key = name.lower().replace("_", "")
-    key = _ALIASES.get(key, key)
+    key = _ALIASES.get(name.lower(), name.lower())
     if key not in _GATES:
         raise UnknownGate(f"unknown gate {name!r}")
     arity, build = _GATES[key]

@@ -11,7 +11,7 @@ inputs give byte-identical SVG.
 
 from __future__ import annotations
 
-from .majorana import Constellation
+from .majorana import Constellation, _integer
 from .sphere import chordal_distance, to_sphere
 
 __all__ = ["render_constellation_svg"]
@@ -39,9 +39,9 @@ def _merge_roots(roots):
 
 def render_constellation_svg(constellation: Constellation, size: int = 512) -> str:
     """The constellation on a size x size canvas (size >= 64 pixels)."""
-    if int(size) < 64:
+    size = _integer(size, "canvas size")
+    if size < 64:
         raise ValueError(f"canvas size must be >= 64, got {size}")
-    size = int(size)
     center = size / 2.0
     radius = 0.45 * size
 

@@ -32,6 +32,7 @@ from .majorana import (
     _companion_roots,
     _constellation,
     _effective_degree,
+    _integer,
     basis_state,
     bloch_vector,
     constellation_distance,
@@ -87,16 +88,17 @@ class SuiteConfig:
     seed: int
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_integer(d, "each of dims") for d in self.dims)
+        trials, seed = _integer(self.trials, "trials"), _integer(self.seed, "seed")
         if not dims or any(d < 2 for d in dims):
             raise ValueError(f"dims must be nonempty integers >= 2, got {self.dims!r}")
-        if int(self.trials) < 1:
+        if trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        if int(self.seed) < 0:
+        if seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from quditstars.errors import (
     NonUnitaryGate,
     ScriptError,
     SingularMatrix,
+    UnknownGate,
 )
 from quditstars.gatescript import (
     GateProgram,
@@ -28,7 +29,7 @@ from quditstars.moebius import (
     apply_point,
     compose,
     from_su2,
-    projectively_equal,
+    projective_distance,
     standard_gate,
 )
 
@@ -60,7 +61,7 @@ def test_two_term_program_shape():
 
 def test_raw_term_is_the_expected_map():
     gate = compile_source("raw(1,0, 1,0, 1,0, -1,0)")
-    assert projectively_equal(gate, MoebiusMap(1, 1, 1, -1))
+    assert projective_distance(gate, MoebiusMap(1, 1, 1, -1)) <= 1e-12
 
 
 def test_arity_error_position_counts_line_breaks():
@@ -76,15 +77,15 @@ def test_positions_do_not_affect_equality():
 
 class TestCompile:
     def test_not_twice_is_identity(self):
-        assert projectively_equal(compile_source("not; not"), IDENT)
+        assert projective_distance(compile_source("not; not"), IDENT) <= 1e-12
 
     def test_hadamard_twice_is_identity(self):
-        assert projectively_equal(compile_source("h; h"), IDENT)
+        assert projective_distance(compile_source("h; h"), IDENT) <= 1e-12
 
     def test_application_order_is_program_order(self):
         gate = compile_source("not; rotz(0.8)")
         split = compose(compile_source("rotz(0.8)"), compile_source("not"))
-        assert projectively_equal(gate, split)
+        assert projective_distance(gate, split) <= 1e-12
 
     def test_first_term_acts_first(self):
         # not sends 0 to infinity; hadamard then sends infinity to 1.
@@ -98,7 +99,7 @@ class TestCompile:
 
     def test_nonunitary_allowed_when_asked(self):
         gate = compile_source("raw(2,0, 0,0, 0,0, 1,0)", allow_nonunitary=True)
-        assert projectively_equal(gate, MoebiusMap(2, 0, 0, 1))
+        assert projective_distance(gate, MoebiusMap(2, 0, 0, 1)) <= 1e-12
 
     def test_singular_raw_rejected(self):
         for entry in ("1", "1e200", "1e-170"):
@@ -109,9 +110,9 @@ class TestCompile:
     def test_su2_term(self):
         # arguments are (a_re, a_im, b_re, b_im)
         gate = compile_source("su2(0.6, 0, 0, 0.8)")
-        assert projectively_equal(gate, MoebiusMap(0.6, 0.8j, 0.8j, 0.6))
+        assert projective_distance(gate, MoebiusMap(0.6, 0.8j, 0.8j, 0.6)) <= 1e-12
         gate = compile_source("su2(0.6, 0, 0.8, 0)")
-        assert projectively_equal(gate, MoebiusMap(0.6, 0.8, -0.8, 0.6))
+        assert projective_distance(gate, MoebiusMap(0.6, 0.8, -0.8, 0.6)) <= 1e-12
 
     def test_compose_law_for_term_pairs(self):
         sources = ["not", "h", "rotx(0.3)", "rotz(-1.2)", "su2(1,2,3,4)",
@@ -121,7 +122,7 @@ class TestCompile:
                 combined = compile_source(f"{s1}; {s2}", allow_nonunitary=True)
                 split = compose(compile_source(s2, allow_nonunitary=True),
                                 compile_source(s1, allow_nonunitary=True))
-                assert projectively_equal(combined, split)
+                assert projective_distance(combined, split) <= 1e-12
 
 
 class TestRender:
@@ -161,16 +162,17 @@ class TestGateTable:
         args = self.ARGS[:_GATES[kind][0]]
         source = f"{name}({', '.join(map(repr, args))})" if args else name
         compiled = compile_source(source, allow_nonunitary=True)
-        assert projectively_equal(compiled, standard_gate(kind, *args))
-        assert projectively_equal(compiled, standard_gate(name, *args))
+        assert projective_distance(compiled, standard_gate(kind, *args)) <= 1e-12
+        assert projective_distance(compiled, standard_gate(name, *args)) <= 1e-12
 
     def test_su2_and_raw_entries(self):
         a, b, c, d = 0.3 - 0.7j, 1.1 + 0.2j, 0.5 - 0.4j, 0.9 + 1.3j
         assert standard_gate("su2", *self.ARGS[:4]) == from_su2(a, b)
         assert standard_gate("raw", *self.ARGS) == MoebiusMap(a, b, c, d)
 
-    def test_underscores_only_outside_scripts(self):
-        assert projectively_equal(standard_gate("rot_x", 0.3), standard_gate("rx", 0.3))
+    def test_underscore_spelling_is_refused_everywhere(self):
+        with pytest.raises(UnknownGate):
+            standard_gate("rot_x", 0.3)
         with pytest.raises(GateSyntaxError) as info:
             parse("rot_x(0.3)")
         assert (info.value.line, info.value.column) == (1, 1)

@@ -83,6 +83,13 @@ class TestTypes:
         with pytest.raises(ValueError, match="outside 0..2"):
             basis_state(3, 3)
 
+    def test_dim_is_an_integer_not_truncated(self):
+        for bad in (3.7, 3.0, "3"):
+            with pytest.raises(TypeError, match="Constellation dim must be an integer"):
+                Constellation(bad, (0j, 1j))
+        c = Constellation(np.int64(3), (0j, 1j))
+        assert c.dim == 3 and type(c.dim) is int
+
 
 class TestStatePolynomial:
     def test_qubit_weights(self):
@@ -376,6 +383,25 @@ class TestWideRange:
         moved = constellation_to_state(transform_constellation(m, state_to_constellation(psi)))
         want = lift_to_unitary(m, 201).apply(psi.as_vector())
         assert phase_distance(moved.as_vector(), want) <= 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the monomial-basis product "
+                       "loses rotated |j, m> states at large d (1 - overlap up to 1.0 "
+                       "at d = 201 and 301)")
+    def test_rotated_basis_states_transport(self):
+        # 1 - |<column k of the lift, transported |k>>| for 6 maps x 3 levels per d.
+        defects = []
+        for dim in (101, 201, 301):
+            rng = np.random.default_rng(11)
+            for _ in range(6):
+                m = random_su2(rng)
+                u = lift_to_unitary(m, dim).matrix
+                for k in (0, (dim - 1) // 2, int(rng.integers(dim))):
+                    moved = constellation_to_state(transform_constellation(
+                        m, state_to_constellation(basis_state(dim, k)))).as_vector()
+                    overlap = abs(np.vdot(u[:, k], moved))
+                    defects.append(1.0 - overlap / (np.linalg.norm(u[:, k])
+                                                    * np.linalg.norm(moved)))
+        assert len(defects) == 54 and max(defects) <= 1e-9
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_past_d_1000_overflow_is_one_line_error(self):

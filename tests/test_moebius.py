@@ -28,7 +28,7 @@ from quditstars.moebius import (
     is_special_unitary,
     lift_to_unitary,
     phase_aligned_distance,
-    projectively_equal,
+    projective_distance,
     standard_gate,
     to_rotation,
     transform_constellation,
@@ -57,7 +57,7 @@ class TestConstruction:
 
     def test_swap_normalizes_projectively(self):
         # det -1 normalizes through the principal root; a global sign may remain.
-        assert projectively_equal(RECIP, MoebiusMap(0, 1j, 1j, 0))
+        assert projective_distance(RECIP, MoebiusMap(0, 1j, 1j, 0)) <= 1e-12
 
     def test_singular_rejected(self):
         # ad - bc of (1e200, 1, 0, 1) is 1e-200 of the largest entry squared.
@@ -66,7 +66,7 @@ class TestConstruction:
                 MoebiusMap(*entries)
 
     def test_tiny_identity(self):
-        assert projectively_equal(MoebiusMap(1e-170, 0, 0, 1e-170), IDENT)
+        assert projective_distance(MoebiusMap(1e-170, 0, 0, 1e-170), IDENT) <= 1e-12
         # Maps are built at unit scale: a power of two keeping parts normal changes no bit.
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -76,14 +76,14 @@ class TestConstruction:
                 assert map_bits(MoebiusMap(*scaled)) == map_bits(MoebiusMap(*e))
 
     def test_su2_identity(self):
-        assert projectively_equal(from_su2(1, 0), IDENT)
+        assert projective_distance(from_su2(1, 0), IDENT) <= 1e-12
 
     def test_su2_reciprocal(self):
         m = from_su2(0, 1j)
         assert (m.a, m.b, m.c, m.d) == (0j, 1j, 1j, 0j)
 
     def test_su2_rescales(self):
-        assert projectively_equal(from_su2(2, 0), IDENT)
+        assert projective_distance(from_su2(2, 0), IDENT) <= 1e-12
         rng = np.random.default_rng(9)
         for _ in range(20):
             a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -132,14 +132,14 @@ class TestApplyPoint:
 class TestGroup:
     def test_inverse_both_sides(self):
         m = MoebiusMap(2, 1j, -1, 0.5)
-        assert projectively_equal(compose(m, inverse(m)), IDENT)
-        assert projectively_equal(compose(inverse(m), m), IDENT)
+        assert projective_distance(compose(m, inverse(m)), IDENT) <= 1e-12
+        assert projective_distance(compose(inverse(m), m), IDENT) <= 1e-12
 
     def test_reciprocal_involution(self):
-        assert projectively_equal(compose(RECIP, RECIP), IDENT)
+        assert projective_distance(compose(RECIP, RECIP), IDENT) <= 1e-12
 
     def test_hadamard_map_involution(self):
-        assert projectively_equal(compose(HADAMARD_MAP, HADAMARD_MAP), IDENT)
+        assert projective_distance(compose(HADAMARD_MAP, HADAMARD_MAP), IDENT) <= 1e-12
 
     def test_compose_acts_right_to_left(self):
         m1, m2 = MoebiusMap(1, 2, 0, 1), MoebiusMap(0, 1, 1, 0)
@@ -153,8 +153,8 @@ class TestGroup:
         for _ in range(20):
             a, b, c = (MoebiusMap(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
                        for _ in range(3))
-            assert projectively_equal(compose(compose(a, b), c),
-                                      compose(a, compose(b, c)))
+            assert projective_distance(compose(compose(a, b), c),
+                                       compose(a, compose(b, c))) <= 1e-12
 
 
 class TestSpecialUnitary:
@@ -199,7 +199,7 @@ class TestLift:
 
     def test_rot_z_dim3_geometric_phases(self):
         theta = 0.7
-        u = lift_to_unitary(standard_gate("rot_z", theta), 3)
+        u = lift_to_unitary(standard_gate("rotz", theta), 3)
         expected = np.diag([1.0, cmath.exp(1j * theta), cmath.exp(2j * theta)])
         np.testing.assert_allclose(u.matrix, expected, atol=1e-12)
 
@@ -350,7 +350,7 @@ class TestRotation:
                                        to_sphere(apply_point(m, z)).as_tuple(), atol=1e-14)
 
     def test_rot_z_fixes_z_axis(self):
-        r = to_rotation(standard_gate("rot_z", 1.1)).matrix
+        r = to_rotation(standard_gate("rotz", 1.1)).matrix
         np.testing.assert_allclose(r[:, 2], [0, 0, 1], atol=1e-12)
         np.testing.assert_allclose(r[2, :], [0, 0, 1], atol=1e-12)
 
@@ -387,8 +387,8 @@ class TestStandardGates:
         assert apply_point(standard_gate("hadamard"), INFINITY).value == pytest.approx(1.0)
 
     def test_zero_angle_rotations_are_identity(self):
-        for name in ("rot_x", "rot_y", "rot_z"):
-            assert projectively_equal(standard_gate(name, 0.0), IDENT)
+        for name in ("rotx", "roty", "rotz"):
+            assert projective_distance(standard_gate(name, 0.0), IDENT) <= 1e-12
 
     def test_unknown(self):
         with pytest.raises(UnknownGate):
@@ -396,7 +396,7 @@ class TestStandardGates:
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
-            standard_gate("rot_x")
+            standard_gate("rotx")
         with pytest.raises(ValueError):
             standard_gate("not", 1.0)
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from quditstars.majorana import Constellation, QuditState, state_to_constellation
@@ -52,6 +53,14 @@ def test_size_flows_through():
 def test_size_validation():
     with pytest.raises(ValueError):
         render_constellation_svg(const(2, 1), 32)
+
+
+def test_size_is_an_integer_not_truncated():
+    for bad in (100.7, 100.0, "100"):
+        with pytest.raises(TypeError, match="canvas size must be an integer"):
+            render_constellation_svg(const(2, 1), bad)
+    assert render_constellation_svg(const(2, 1), np.int64(100)) == render_constellation_svg(
+        const(2, 1), 100)
 
 
 def test_state_render_matches_constellation_render():

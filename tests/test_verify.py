@@ -126,6 +126,17 @@ class TestSuite:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             SuiteConfig(dims=(2,), trials=1, seed=-1)
 
+    def test_config_integers_are_not_truncated(self):
+        for field, kwargs in (("dims", dict(dims=(2.9,), trials=1, seed=0)),
+                              ("trials", dict(dims=(2,), trials=1.5, seed=0)),
+                              ("seed", dict(dims=(2,), trials=1, seed=0.5)),
+                              ("seed", dict(dims=(2,), trials=1, seed="0"))):
+            with pytest.raises(TypeError, match=f"{field} must be an integer"):
+                SuiteConfig(**kwargs)
+        config = SuiteConfig(dims=(np.int64(3),), trials=np.int32(2), seed=np.uint8(7))
+        assert config == SuiteConfig(dims=(3,), trials=2, seed=7)
+        assert {type(v) for v in (*config.dims, config.trials, config.seed)} == {int}
+
     def test_single_trial_shape(self):
         report = run_suite(SuiteConfig(dims=(2,), trials=1, seed=42))
         assert all(p.trials == 1 for p in report.properties)
